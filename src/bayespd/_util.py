@@ -1,11 +1,15 @@
-"""Small shared helpers: RNG plumbing, stable summation, atomic file writes."""
+"""Small shared helpers: RNG plumbing, stable summation, JSON reading,
+atomic file writes."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import ValidationError
 
 # All randomness in the package flows through numpy's default_rng (PCG64),
 # which is seedable and produces the same 64-bit stream on every platform.
@@ -42,6 +46,20 @@ def stable_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     if values.shape[axis] == 0:
         return np.sum(values, axis=axis)
     return np.sum(np.sort(values, axis=axis), axis=axis)
+
+
+def read_json(path: str | os.PathLike):
+    """Parse the JSON file at ``path``. A directory or malformed JSON raises
+    ValidationError naming the path (and the line and column of a syntax
+    error)."""
+    try:
+        with open(path, "r") as handle:
+            return json.load(handle)
+    except IsADirectoryError:
+        raise ValidationError(f"{path}: is a directory, expected a JSON file") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write_text, derived_rng
+from ._util import atomic_write_text, derived_rng, read_json
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import read_diagram, read_diagram_json, write_diagram
 from .errors import NumericalError, UsageError, ValidationError
@@ -45,18 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- argument helpers ----------------------------------------------------------
-
-def _load_json(path):
-    try:
-        text = Path(path).read_text()
-    except IsADirectoryError:
-        raise ValidationError(f"{path}: is a directory, expected a JSON file") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
 
 def parse_grid(text: str) -> Grid:
     """Parse ``x0,x1,y0,y1,nx,ny`` into a Grid."""
@@ -133,7 +121,7 @@ def _resolve_prior(spec: str) -> GaussianMixtureIntensity:
 
 
 def _observation_model(path) -> ObservationModel:
-    data = _load_json(path)
+    data = read_json(path)
     try:
         return ObservationModel.from_dict(data)
     except ValidationError as exc:
@@ -271,7 +259,7 @@ def _cmd_experiment(args) -> int:
                 f"{', '.join(sorted(presets))}")
         config = presets[args.preset]
     else:
-        config = ExperimentConfig.from_dict(_load_json(args.config))
+        config = ExperimentConfig.from_dict(read_json(args.config))
     manifest = run_experiment(config, args.outdir, seed=args.seed)
     if config.kind == "circle-posterior":
         argmax = manifest["posterior_argmax"]
@@ -302,7 +290,7 @@ def _cmd_config_validate(args) -> int:
 
 
 def _validate_config_file(path) -> str:
-    data = _load_json(path)
+    data = read_json(path)
     try:
         if isinstance(data, list):
             if data and isinstance(data[0], dict) and "birth" in data[0]:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_json
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
@@ -326,13 +326,7 @@ def write_diagram_json(diagram: PersistenceDiagram, path) -> None:
 
 
 def read_diagram_json(path, *, metadata: str | None = None) -> PersistenceDiagram:
-    with open(path, "r") as handle:
-        try:
-            records = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValidationError(f"{path}: expected a JSON array of features")
     births, deaths, dims = [], [], []

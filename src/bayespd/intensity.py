@@ -19,10 +19,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import atomic_write_text, stable_sum
+from ._util import atomic_write_text, read_json, stable_sum
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+
+#: Point-component cells ``mixture_sum`` evaluates at once. It bounds the
+#: kernel's working memory whatever the number of points and components.
+BLOCK_CELLS = 1 << 16
 
 
 def gaussian_density(x, mean, variance):
@@ -47,6 +51,36 @@ def in_wedge(x) -> np.ndarray:
 def restricted_gaussian_density(x, mean, variance):
     """Wedge-restricted Gaussian: the density above, zero outside the wedge."""
     return gaussian_density(x, mean, variance) * in_wedge(x)
+
+
+def mixture_sum(points, weights, means, variances) -> np.ndarray:
+    """Wedge-restricted sum_k weights[k] N(x; means[k], variances[k] I) at
+    each point x of ``points`` (..., 2); returns shape (...).
+
+    Points are walked in blocks of about ``BLOCK_CELLS`` point-component
+    cells, each evaluated in place. Each term is ``gaussian_density``'s
+    arithmetic, with the squared distance added per axis as the length-2
+    reduction adds it, and each point's terms are added with ``stable_sum``.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    if x.shape[-1:] != (2,):
+        raise ValidationError(f"points must have shape (..., 2), got {x.shape}")
+    pts = x.reshape(-1, 2)
+    out = np.zeros(len(pts))
+    if len(weights):
+        norm = TWO_PI * variances
+        step = max(1, BLOCK_CELLS // len(weights))
+        for start in range(0, len(pts), step):
+            block = pts[start:start + step]
+            terms = (block[:, 0, None] - means[:, 0]) ** 2
+            terms += (block[:, 1, None] - means[:, 1]) ** 2
+            terms *= -0.5
+            terms /= variances
+            np.exp(terms, out=terms)
+            terms /= norm
+            terms *= weights
+            out[start:start + step] = stable_sum(terms, axis=-1)
+    return (out * in_wedge(pts)).reshape(x.shape[:-1])
 
 
 def wedge_gaussian_mass(mean, variance):
@@ -140,12 +174,6 @@ class GaussianMixtureIntensity:
         for arr in (self.weights, self.means, self.variances):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_parameters(cls, weights, means, variances) -> "GaussianMixtureIntensity":
-        comps = [MixtureComponent(w, tuple(m), v)
-                 for w, m, v in zip(weights, means, variances)]
-        return cls(comps)
-
     def __len__(self) -> int:
         return len(self.components)
 
@@ -155,15 +183,8 @@ class GaussianMixtureIntensity:
         Component contributions are accumulated with order-canonicalized
         summation, so the result is invariant under component permutation.
         """
-        x = np.asarray(x, dtype=np.float64)
-        scalar_input = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if not len(self.components):
-            out = np.zeros(pts.shape[:-1])
-        else:
-            dens = gaussian_density(pts[..., None, :], self.means, self.variances)
-            out = stable_sum(self.weights * dens, axis=-1) * in_wedge(pts)
-        return float(out[0]) if scalar_input else out.reshape(x.shape[:-1])
+        out = mixture_sum(x, self.weights, self.means, self.variances)
+        return float(out) if out.ndim == 0 else out
 
     def component_masses(self) -> np.ndarray:
         """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""
@@ -214,13 +235,7 @@ def write_mixture_json(mixture: GaussianMixtureIntensity, path) -> None:
 
 
 def read_mixture_json(path) -> GaussianMixtureIntensity:
-    with open(path, "r") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+    data = read_json(path)
     try:
         return GaussianMixtureIntensity.from_list(data)
     except ValidationError as exc:

@@ -37,7 +37,8 @@ from ._util import atomic_write_text, stable_sum
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, gaussian_density,
-                        gaussian_product, in_wedge, wedge_gaussian_mass)
+                        gaussian_product, in_wedge, mixture_sum,
+                        wedge_gaussian_mass)
 from .quadrature import adaptive_quad_2d
 
 #: Gaussian support is truncated at mean +- TAIL_SIGMAS standard deviations
@@ -120,15 +121,11 @@ class PosteriorIntensity:
         Permutation invariant: contributions are summed in canonical order,
         so reordering observed diagrams or points never changes the result.
         """
-        x = np.asarray(x, dtype=np.float64)
-        scalar_input = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = (1.0 - self.alpha) * self.prior.evaluate(pts)
+        out = (1.0 - self.alpha) * self.prior.evaluate(x)
         if len(self.coefficients):
-            dens = gaussian_density(pts[..., None, :], self.means, self.variances)
-            data = stable_sum(self.coefficients * dens, axis=-1) * in_wedge(pts)
+            data = mixture_sum(x, self.coefficients, self.means, self.variances)
             out = out + (self.alpha / self.observation_count) * data
-        return float(out[0]) if scalar_input else out.reshape(x.shape[:-1])
+        return float(out) if np.ndim(out) == 0 else out
 
     def prior_retention_mass(self) -> float:
         """Mass of the (1 - alpha) * prior term."""
@@ -251,25 +248,12 @@ class Grid:
 
 def scaled_intensity_grid(intensity, grid: Grid) -> np.ndarray:
     """Evaluate on the grid and scale so the maximum is 1 (zero field stays
-    zero). Rows are evaluated in chunks; results are identical either way."""
-    mesh = grid.mesh()
-    rows = []
-    chunk = max(1, 2_000_000 // max(1, grid.nx * _n_components(intensity)))
-    for start in range(0, grid.ny, chunk):
-        rows.append(intensity.evaluate(mesh[start:start + chunk]))
-    values = np.concatenate(rows, axis=0)
-    peak = float(np.max(values)) if values.size else 0.0
+    zero)."""
+    values = intensity.evaluate(grid.mesh())
+    peak = float(np.max(values))
     if peak > 0.0:
         values = values / peak
     return values
-
-
-def _n_components(intensity) -> int:
-    if isinstance(intensity, PosteriorIntensity):
-        return len(intensity.coefficients) + len(intensity.prior)
-    if isinstance(intensity, GaussianMixtureIntensity):
-        return len(intensity)
-    return 8
 
 
 def write_grid_csv(path, grid: Grid, values: np.ndarray) -> None:

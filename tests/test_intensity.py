@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayespd import (GaussianMixtureIntensity, MixtureComponent,
-                     ValidationError, gaussian_density, gaussian_product,
-                     in_wedge, read_mixture_json, restricted_gaussian_density,
-                     wedge_gaussian_mass, write_mixture_json)
+from bayespd import (GaussianMixtureIntensity, Grid, MixtureComponent,
+                     PosteriorIntensity, ValidationError, gaussian_density,
+                     gaussian_product, in_wedge, read_mixture_json,
+                     restricted_gaussian_density, wedge_gaussian_mass,
+                     write_mixture_json)
+from bayespd.intensity import BLOCK_CELLS
 
 
 def random_mixture(rng, n=3):
@@ -149,6 +154,72 @@ def test_mixture_evaluate_permutation_invariant_exactly():
         rng.shuffle(comps)
         np.testing.assert_array_equal(
             GaussianMixtureIntensity(comps).evaluate(pts), base)
+
+
+def one_shot_mixture(x, weights, means, variances):
+    """Reference evaluator: one (points x components x 2) difference array,
+    reduced over its last axis, then a sorted sum per point."""
+    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    sq = np.sum((pts[..., None, :] - means) ** 2, axis=-1)
+    dens = np.exp(-0.5 * sq / variances) / (2.0 * math.pi * variances)
+    out = np.sum(np.sort(weights * dens, axis=-1), axis=-1) * in_wedge(pts)
+    return out.reshape(np.shape(x)[:-1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_components=st.one_of(st.integers(1, 300),
+                              st.integers(BLOCK_CELLS // 2 - 1, BLOCK_CELLS + 2)),
+       count=st.sampled_from(["0", "1", "block-1", "block", "block+1"]),
+       layout=st.sampled_from(["scalar", "flat", "grid"]))
+def test_blocked_evaluation_matches_one_shot_formula_bitwise(
+        seed, n_components, count, layout):
+    # Point counts sit at the edges of the kernel's blocks; beyond
+    # BLOCK_CELLS // 2 components a block is a single point.
+    rng = np.random.default_rng(seed)
+    distinct = [MixtureComponent(float(rng.uniform(0.01, 3.0)),
+                                 tuple(rng.uniform(-0.5, 3.0, 2)),
+                                 float(rng.uniform(0.001, 1.0)))
+                for _ in range(min(n_components, 200))]
+    mix = GaussianMixtureIntensity(
+        distinct[i] for i in rng.integers(0, len(distinct), n_components))
+    block = max(1, BLOCK_CELLS // n_components)
+    n_points = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+                "block+1": block + 1}[count]
+    pts = rng.uniform(-1.0, 3.5, (n_points, 2))
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    if layout == "scalar":
+        x = pts[0] if n_points else np.array([0.0, -0.0])
+    elif layout == "grid" and n_points % 2 == 0:
+        x = pts.reshape(2, n_points // 2, 2)
+    else:
+        x = pts
+    expected = one_shot_mixture(x, mix.weights, mix.means, mix.variances)
+    got = mix.evaluate(x)
+    np.testing.assert_array_equal(got, expected)
+    assert isinstance(got, float) == (layout == "scalar")
+
+    prior = random_mixture(rng, 3)
+    alpha, m = float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 50))
+    post = PosteriorIntensity(prior, alpha, 0.01, m, mix.weights, mix.means,
+                              mix.variances)
+    expected = ((1.0 - alpha) * one_shot_mixture(x, prior.weights, prior.means,
+                                                 prior.variances)
+                + (alpha / m) * one_shot_mixture(x, mix.weights, mix.means,
+                                                 mix.variances))
+    np.testing.assert_array_equal(post.evaluate(x), expected)
+
+
+def test_grid_evaluation_memory_is_bounded():
+    mix = random_mixture(np.random.default_rng(71), 500)
+    mesh = Grid(0.0, 3.0, 0.0, 3.0, 100, 100).mesh()
+    tracemalloc.start()
+    try:
+        mix.evaluate(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_mixture_masses_and_concat():
