@@ -1,11 +1,12 @@
-"""Small shared helpers: RNG plumbing, stable summation, JSON reading,
-atomic file writes."""
+"""Small shared helpers: RNG plumbing, stable summation, JSON reading and
+field conversion, atomic file writes."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -60,6 +61,18 @@ def read_json(path: str | os.PathLike):
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+@contextmanager
+def field_errors(what: str):
+    """Turn the TypeError, ValueError, AttributeError or OverflowError of a
+    malformed field met while building ``what`` into ValidationError."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -17,16 +17,15 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._util import atomic_write_text, derived_rng, read_json
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import read_diagram, read_diagram_json, write_diagram
 from .errors import NumericalError, UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, read_mixture_json
-from .posterior import (Grid, ObservationModel, posterior_closed_form,
-                        scaled_intensity_grid, write_grid_csv)
+from .posterior import (Grid, ObservationModel, grid_argmax, mass_summary,
+                        posterior_closed_form, scaled_intensity_grid,
+                        write_grid_csv)
 from .presets import (PRIOR_PRESETS, ExperimentConfig, experiment_presets,
                       prior_preset, run_experiment)
 from .rips import (FiltrationParams, read_point_cloud_csv, rips_persistence,
@@ -165,19 +164,12 @@ def _cmd_posterior(args) -> int:
     else:
         values = posterior.evaluate(grid.mesh())
     write_grid_csv(args.out, grid, values)
-    masses = {"prior": prior.total_mass(),
-              "prior_retention": posterior.prior_retention_mass(),
-              "data_term": posterior.data_term_mass(),
-              "total": posterior.total_mass()}
+    masses = mass_summary(posterior)
     if args.summary:
-        flat = int(np.argmax(values))
-        iy, ix = divmod(flat, grid.nx)
         summary = {
             "n_observations": len(observations),
             "n_observed_features": sum(len(d) for d in observations),
-            "argmax": {"x": float(grid.x_axis[ix]),
-                       "y": float(grid.y_axis[iy]),
-                       "value": float(values[iy, ix])},
+            "argmax": grid_argmax(grid, values, "value"),
             "masses": masses,
             "scaled": bool(args.scaled),
         }

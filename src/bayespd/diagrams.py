@@ -287,12 +287,8 @@ def read_diagram_csv(path, *, metadata: str | None = None) -> PersistenceDiagram
                 f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
         try:
             b, d, k = float(fields[0]), float(fields[1]), int(fields[2])
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}: line {lineno}: {exc}") from None
-        try:
             _check_triple(b, d, k)
-        except ValidationError as exc:
+        except ValueError as exc:  # ValidationError is a ValueError
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
         births.append(b)
         deaths.append(d)
@@ -336,11 +332,11 @@ def read_diagram_json(path, *, metadata: str | None = None) -> PersistenceDiagra
                 f"{path}: feature {i}: expected keys birth, death, dim")
         try:
             b, d, k = float(rec["birth"]), float(rec["death"]), int(rec["dim"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: feature {i}: {exc}") from None
-        try:
+            if isinstance(rec["dim"], float) and k != rec["dim"]:
+                raise ValueError("homology dimension must be an integer, "
+                                 f"got {rec['dim']!r}")
             _check_triple(b, d, k)
-        except ValidationError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: feature {i}: {exc}") from None
         births.append(b)
         deaths.append(d)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import atomic_write_text, read_json, stable_sum
+from ._util import atomic_write_text, field_errors, read_json, stable_sum
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -104,7 +104,9 @@ def gaussian_product(y, likelihood_variance, prior_mean, prior_variance):
 
     Returns ``(post_mean, post_variance, marginal_weight)`` where the
     marginal weight is the unrestricted density N(y; pm, (lv + pv) I).
-    Broadcasts over component axes of ``prior_mean``/``prior_variance``.
+    Broadcasts over component axes of ``prior_mean``/``prior_variance``;
+    ``y`` of shape (P, 1, 2) gives means (P, K, 2) and marginals (P, K) for
+    K components, while ``post_variance`` does not depend on ``y``.
     """
     y = np.asarray(y, dtype=np.float64)
     pm = np.asarray(prior_mean, dtype=np.float64)
@@ -144,6 +146,7 @@ class MixtureComponent:
                 "variance": self.variance}
 
     @classmethod
+    @field_errors("mixture component")
     def from_dict(cls, data: dict) -> "MixtureComponent":
         if not isinstance(data, dict) or set(data) != {"weight", "mean", "variance"}:
             raise ValidationError(
@@ -188,8 +191,6 @@ class GaussianMixtureIntensity:
 
     def component_masses(self) -> np.ndarray:
         """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""
-        if not len(self.components):
-            return np.zeros(0)
         return self.weights * wedge_gaussian_mass(self.means, self.variances)
 
     def total_mass(self) -> float:
@@ -199,15 +200,6 @@ class GaussianMixtureIntensity:
         component order.
         """
         return math.fsum(self.component_masses())
-
-    def concat(self, other: "GaussianMixtureIntensity") -> "GaussianMixtureIntensity":
-        """Superposition: the mixture with both component lists."""
-        return GaussianMixtureIntensity(self.components + other.components)
-
-    def __add__(self, other):
-        if not isinstance(other, GaussianMixtureIntensity):
-            return NotImplemented
-        return self.concat(other)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianMixtureIntensity):

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, stable_sum
+from ._util import atomic_write_text, field_errors, stable_sum
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, gaussian_density,
@@ -71,6 +71,7 @@ class ObservationModel:
                 "clutter": self.clutter.to_list()}
 
     @classmethod
+    @field_errors("observation model")
     def from_dict(cls, data: dict) -> "ObservationModel":
         if not isinstance(data, dict) or set(data) != {
                 "alpha", "likelihood_variance", "clutter"}:
@@ -183,31 +184,27 @@ def posterior_closed_form(prior: GaussianMixtureIntensity,
         return PosteriorIntensity(prior, alpha, lv, m,
                                   np.zeros(0), np.zeros((0, 2)), np.zeros(0))
 
-    coeffs, means, variances = [], [], []
-    for d_index, pts in enumerate(point_sets):
-        for y in pts:
-            post_mean, post_var, marginal = gaussian_product(
-                y, lv, prior.means, prior.variances)
-            w = prior.weights * marginal
-            q = wedge_gaussian_mass(post_mean, post_var)
-            denom = float(model.clutter.evaluate(y)) + alpha * math.fsum(w * q)
-            if denom <= 0.0:
-                raise DegenerateObservationError(
-                    f"diagram {d_index}: observed point {tuple(y)} has zero "
-                    "posterior denominator; it is unexplainable under this "
-                    "prior/clutter (likely far outside their support)")
-            coeffs.append(w / denom)
-            means.append(post_mean)
-            variances.append(post_var)
-
-    if coeffs:
-        coefficients = np.concatenate(coeffs)
-        mean_arr = np.concatenate(means)
-        var_arr = np.concatenate(variances)
-    else:
-        coefficients, mean_arr, var_arr = np.zeros(0), np.zeros((0, 2)), np.zeros(0)
-    return PosteriorIntensity(prior, alpha, lv, m,
-                              coefficients, mean_arr, var_arr)
+    # One row per observed point in diagram order, one column per prior
+    # component; raveling row-major gives the per-point concatenation order.
+    points = np.concatenate(point_sets)
+    post_mean, post_var, marginal = gaussian_product(
+        points[:, None, :], lv, prior.means, prior.variances)
+    w = prior.weights * marginal
+    wq = w * wedge_gaussian_mass(post_mean, post_var)
+    denom = model.clutter.evaluate(points) + alpha * np.array(
+        [math.fsum(row) for row in wq])
+    bad = denom <= 0.0
+    if bad.any():
+        first = int(np.argmax(bad))
+        d_index = int(np.searchsorted(
+            np.cumsum([len(pts) for pts in point_sets]), first, side="right"))
+        raise DegenerateObservationError(
+            f"diagram {d_index}: observed point {tuple(points[first])} has zero "
+            "posterior denominator; it is unexplainable under this "
+            "prior/clutter (likely far outside their support)")
+    return PosteriorIntensity(prior, alpha, lv, m, (w / denom[:, None]).ravel(),
+                              post_mean.reshape(-1, 2),
+                              np.tile(post_var, len(points)))
 
 
 # -- evaluation grids --------------------------------------------------------
@@ -254,6 +251,22 @@ def scaled_intensity_grid(intensity, grid: Grid) -> np.ndarray:
     if peak > 0.0:
         values = values / peak
     return values
+
+
+def grid_argmax(grid: Grid, values: np.ndarray, value_key: str) -> dict:
+    """Coordinates of the first grid cell holding the maximum of ``values``,
+    with that maximum stored under ``value_key``."""
+    iy, ix = divmod(int(np.argmax(values)), grid.nx)
+    return {"x": float(grid.x_axis[ix]), "y": float(grid.y_axis[iy]),
+            value_key: float(values[iy, ix])}
+
+
+def mass_summary(posterior: PosteriorIntensity) -> dict:
+    """Expected feature counts: prior, retained prior, data term, total."""
+    return {"prior": posterior.prior.total_mass(),
+            "prior_retention": posterior.prior_retention_mass(),
+            "data_term": posterior.data_term_mass(),
+            "total": posterior.total_mass()}
 
 
 def write_grid_csv(path, grid: Grid, values: np.ndarray) -> None:

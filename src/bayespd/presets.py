@@ -24,13 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, derived_rng
+from ._util import atomic_write_text, derived_rng, field_errors
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, MixtureComponent
-from .posterior import (Grid, ObservationModel, posterior_closed_form,
-                        scaled_intensity_grid, write_grid_csv)
+from .posterior import (Grid, ObservationModel, grid_argmax, mass_summary,
+                        posterior_closed_form, scaled_intensity_grid,
+                        write_grid_csv)
 from .rips import FiltrationParams, rips_persistence, write_point_cloud_csv
 from .simulate import LatticeSpec, sample_lattice, sample_noisy_circle
 
@@ -141,6 +142,7 @@ class ExperimentConfig:
         return out
 
     @classmethod
+    @field_errors("experiment config")
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
@@ -236,12 +238,6 @@ def _run_circle_posterior(config: ExperimentConfig, outdir: Path) -> dict:
                                       [observed])
     values = scaled_intensity_grid(posterior, config.grid)
 
-    flat_index = int(np.argmax(values))
-    iy, ix = divmod(flat_index, config.grid.nx)
-    argmax = {"x": float(config.grid.x_axis[ix]),
-              "y": float(config.grid.y_axis[iy]),
-              "scaled_value": float(values[iy, ix])}
-
     if len(observed):
         top = int(np.argmax(observed.persistences))
         most_persistent = {"birth": float(observed.births[top]),
@@ -262,13 +258,8 @@ def _run_circle_posterior(config: ExperimentConfig, outdir: Path) -> dict:
         },
         "n_observed_features": len(observed),
         "most_persistent_feature": most_persistent,
-        "posterior_argmax": argmax,
-        "masses": {
-            "prior": config.prior.total_mass(),
-            "prior_retention": posterior.prior_retention_mass(),
-            "data_term": posterior.data_term_mass(),
-            "total": posterior.total_mass(),
-        },
+        "posterior_argmax": grid_argmax(config.grid, values, "scaled_value"),
+        "masses": mass_summary(posterior),
     }
     return manifest
 

@@ -296,3 +296,23 @@ def test_config_validate(tmp_path, capsys):
     weird.write_text('{"hello": 1}')
     assert main(["config-validate", str(weird)]) == 2
     assert "unrecognized" in capsys.readouterr().err
+
+
+GOOD_COMPONENT = {"weight": 1.0, "mean": [1.0, 1.0], "variance": 0.5}
+GOOD_MODEL = {"alpha": 0.5, "likelihood_variance": 0.1, "clutter": []}
+
+
+@pytest.mark.parametrize("content", [
+    [dict(GOOD_COMPONENT, weight="abc")],
+    [dict(GOOD_COMPONENT, mean=3)],
+    {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],
+     "observation": GOOD_MODEL, "data": [1]},
+    {"kind": "lattice-cv", "seed": "x"},
+    dict(GOOD_MODEL, alpha="x"),
+], ids=["weight-string", "mean-scalar", "circle-data-list", "lattice-seed-string",
+        "model-alpha-string"])
+def test_config_validate_rejects_malformed_field_values(tmp_path, capsys, content):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    assert main(["config-validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

@@ -228,6 +228,15 @@ def test_json_reader_reports_position(tmp_path):
         read_diagram_json(path)
 
 
+
+def test_json_reader_rejects_fractional_dimension(tmp_path):
+    path = tmp_path / "frac.json"
+    path.write_text('[{"birth": 0.0, "death": 1.0, "dim": 1.5}]')
+    with pytest.raises(ValidationError, match="feature 0: homology dimension"):
+        read_diagram_json(path)
+    path.write_text('[{"birth": 0.0, "death": 1.0, "dim": 1.0}]')
+    assert read_diagram_json(path).dims.tolist() == [1]
+
 def test_empty_diagram_round_trip(tmp_path):
     d = PersistenceDiagram.empty()
     assert len(d) == 0

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bayespd import (DegenerateObservationError, GaussianMixtureIntensity,
                      Grid, MixtureComponent, ObservationModel,
-                     PersistenceDiagram, ValidationError, gaussian_density,
+                     PersistenceDiagram, PosteriorIntensity, ValidationError,
+                     gaussian_density, gaussian_product,
                      posterior_closed_form, posterior_numeric_oracle,
                      scaled_intensity_grid, wedge_gaussian_mass,
                      write_grid_csv)
@@ -162,6 +165,78 @@ def test_unexplainable_point_raises():
     with pytest.raises(DegenerateObservationError, match="diagram 0"):
         posterior_closed_form(prior, model, [diagram_at([(300.0, 300.0)])])
 
+
+
+def per_point_posterior(prior, model, observations):
+    """Reference update: one observed point at a time, each row's
+    denominator from its own clutter evaluation and ``math.fsum``, the
+    rows concatenated in diagram order; alpha = 0 keeps no data rows."""
+    lv, alpha, m = model.likelihood_variance, model.alpha, len(observations)
+    coeffs, means, variances = [np.zeros(0)], [np.zeros((0, 2))], [np.zeros(0)]
+    for d_index, diagram in enumerate(observations if alpha else []):
+        for y in diagram.tilted_points:
+            post_mean, post_var, marginal = gaussian_product(
+                y, lv, prior.means, prior.variances)
+            w = prior.weights * marginal
+            q = wedge_gaussian_mass(post_mean, post_var)
+            denom = float(model.clutter.evaluate(y)) + alpha * math.fsum(w * q)
+            if denom <= 0.0:
+                raise DegenerateObservationError(
+                    f"diagram {d_index}: observed point {tuple(y)} has zero "
+                    "posterior denominator; it is unexplainable under this "
+                    "prior/clutter (likely far outside their support)")
+            coeffs.append(w / denom)
+            means.append(post_mean)
+            variances.append(post_var)
+    return PosteriorIntensity(prior, alpha, lv, m, np.concatenate(coeffs),
+                              np.concatenate(means), np.concatenate(variances))
+
+
+def random_components(rng, n):
+    return [MixtureComponent(float(rng.uniform(0.1, 3.0)),
+                             tuple(rng.uniform(0.0, 2.5, 2)),
+                             float(rng.uniform(0.01, 1.0)))
+            for _ in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_prior=st.integers(1, 4),
+       n_clutter=st.sampled_from([0, 2, 3]),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]),
+       sizes=st.lists(st.integers(0, 5), min_size=1, max_size=5))
+@example(seed=1, n_prior=3, n_clutter=2, alpha=0.5, sizes=[0, 3, 0, 2])
+@example(seed=2, n_prior=2, n_clutter=0, alpha=1.0, sizes=[0, 0])
+def test_closed_form_matches_per_point_update_bitwise(seed, n_prior, n_clutter,
+                                                      alpha, sizes):
+    rng = np.random.default_rng(seed)
+    prior = GaussianMixtureIntensity(random_components(rng, n_prior))
+    model = ObservationModel(alpha, float(rng.uniform(0.01, 0.5)),
+                             GaussianMixtureIntensity(
+                                 random_components(rng, n_clutter)))
+    observations = [diagram_at(rng.uniform(0.0, 2.5, (n, 2))) if n
+                    else PersistenceDiagram.empty() for n in sizes]
+
+    got = posterior_closed_form(prior, model, observations)
+    expected = per_point_posterior(prior, model, observations)
+    np.testing.assert_array_equal(got.coefficients, expected.coefficients)
+    np.testing.assert_array_equal(got.means, expected.means)
+    np.testing.assert_array_equal(got.variances, expected.variances)
+    assert got.total_mass() == expected.total_mass()
+    pts = rng.uniform(-0.5, 3.0, (30, 2))
+    np.testing.assert_array_equal(got.evaluate(pts), expected.evaluate(pts))
+
+
+def test_unexplainable_point_names_its_diagram():
+    prior = informative_prior()
+    model = ObservationModel(1.0, 0.0001)
+    observations = [diagram_at([(0.5, 1.2)]), PersistenceDiagram.empty(),
+                    diagram_at([(0.5, 1.2), (300.0, 300.0)])]
+    with pytest.raises(DegenerateObservationError, match="diagram 2") as got:
+        posterior_closed_form(prior, model, observations)
+    with pytest.raises(DegenerateObservationError) as expected:
+        per_point_posterior(prior, model, observations)
+    assert str(got.value) == str(expected.value)
 
 # -- grids ----------------------------------------------------------------------
 
