@@ -63,6 +63,13 @@ def read_json(path: str | os.PathLike):
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
+def as_integer(value, what: str) -> int:
+    """``int(value)``, refusing a float with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def field_errors(what: str):
     """Turn the TypeError, ValueError, AttributeError or OverflowError of a

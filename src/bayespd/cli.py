@@ -26,8 +26,8 @@ from .intensity import GaussianMixtureIntensity, read_mixture_json
 from .posterior import (Grid, ObservationModel, grid_argmax, mass_summary,
                         posterior_closed_form, scaled_intensity_grid,
                         write_grid_csv)
-from .presets import (PRIOR_PRESETS, ExperimentConfig, experiment_presets,
-                      prior_preset, run_experiment)
+from .presets import (PRIOR_PRESETS, ExperimentConfig, experiment_preset,
+                      experiment_presets, prior_preset, run_experiment)
 from .rips import (FiltrationParams, read_point_cloud_csv, rips_persistence,
                    write_point_cloud_csv)
 from .simulate import (LatticeSpec, sample_lattice, sample_noisy_circle,
@@ -119,12 +119,15 @@ def _resolve_prior(spec: str) -> GaussianMixtureIntensity:
         f"{', '.join(sorted(PRIOR_PRESETS))}")
 
 
-def _observation_model(path) -> ObservationModel:
+def _from_json(path, build):
+    """``build`` applied to the JSON file at ``path``; its errors name the path."""
     data = read_json(path)
     try:
-        return ObservationModel.from_dict(data)
+        return build(data)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        message = str(exc)
+        raise ValidationError(message if message.startswith(str(path))
+                              else f"{path}: {message}") from None
 
 
 def _read_diagram_dir(directory, homology_dim: int):
@@ -155,7 +158,7 @@ def _cmd_compute_pd(args) -> int:
 
 def _cmd_posterior(args) -> int:
     prior = _resolve_prior(args.prior)
-    model = _observation_model(args.model)
+    model = _from_json(args.model, ObservationModel.from_dict)
     observations = [read_diagram(p).restrict(args.dim) for p in args.obs]
     posterior = posterior_closed_form(prior, model, observations)
     grid = parse_grid(args.grid)
@@ -199,7 +202,7 @@ def _cmd_simulate_lattice(args) -> int:
 
 def _cmd_simulate_diagram(args) -> int:
     prior = _resolve_prior(args.prior)
-    model = _observation_model(args.model)
+    model = _from_json(args.model, ObservationModel.from_dict)
     latent = sample_poisson_pp(prior, derived_rng(args.seed, 0),
                                homology_dim=args.dim)
     observed = sample_observation(model, latent, derived_rng(args.seed, 1))
@@ -235,23 +238,16 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    presets = experiment_presets()
     if args.list:
-        for name in sorted(presets):
+        for name in sorted(experiment_presets()):
             print(name)
         return 0
     if (args.preset is None) == (args.config is None):
         raise UsageError("experiment needs exactly one of --preset or --config")
     if args.outdir is None:
         raise UsageError("experiment needs --outdir")
-    if args.preset is not None:
-        if args.preset not in presets:
-            raise UsageError(
-                f"unknown experiment preset {args.preset!r}; available: "
-                f"{', '.join(sorted(presets))}")
-        config = presets[args.preset]
-    else:
-        config = ExperimentConfig.from_dict(read_json(args.config))
+    config = (experiment_preset(args.preset) if args.config is None
+              else _from_json(args.config, ExperimentConfig.from_dict))
     manifest = run_experiment(config, args.outdir, seed=args.seed)
     if config.kind == "circle-posterior":
         argmax = manifest["posterior_argmax"]
@@ -282,8 +278,7 @@ def _cmd_config_validate(args) -> int:
 
 
 def _validate_config_file(path) -> str:
-    data = read_json(path)
-    try:
+    def describe(data) -> str:
         if isinstance(data, list):
             if data and isinstance(data[0], dict) and "birth" in data[0]:
                 diagram = read_diagram_json(path)
@@ -296,14 +291,11 @@ def _validate_config_file(path) -> str:
         if isinstance(data, dict) and "alpha" in data:
             ObservationModel.from_dict(data)
             return "observation model"
-    except ValidationError as exc:
-        message = str(exc)
-        if not message.startswith(str(path)):
-            message = f"{path}: {message}"
-        raise ValidationError(message) from None
-    raise ValidationError(
-        f"{path}: unrecognized config shape (expected a mixture list, a "
-        f"diagram list, an observation model, or an experiment config)")
+        raise ValidationError(
+            "unrecognized config shape (expected a mixture list, a diagram "
+            "list, an observation model, or an experiment config)")
+
+    return _from_json(path, describe)
 
 
 # -- parser --------------------------------------------------------------------

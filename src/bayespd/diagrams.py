@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, read_json
+from ._util import as_integer, atomic_write_text, read_json
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
@@ -331,10 +331,8 @@ def read_diagram_json(path, *, metadata: str | None = None) -> PersistenceDiagra
             raise ValidationError(
                 f"{path}: feature {i}: expected keys birth, death, dim")
         try:
-            b, d, k = float(rec["birth"]), float(rec["death"]), int(rec["dim"])
-            if isinstance(rec["dim"], float) and k != rec["dim"]:
-                raise ValueError("homology dimension must be an integer, "
-                                 f"got {rec['dim']!r}")
+            b, d = float(rec["birth"]), float(rec["death"])
+            k = as_integer(rec["dim"], "homology dimension")
             _check_triple(b, d, k)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: feature {i}: {exc}") from None

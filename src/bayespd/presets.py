@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, derived_rng, field_errors
+from ._util import as_integer, atomic_write_text, derived_rng, field_errors
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
@@ -148,7 +148,7 @@ class ExperimentConfig:
             raise ValidationError("experiment config must be a JSON object")
         kind = data.get("kind")
         name = data.get("name", "custom")
-        seed = int(data.get("seed", 7))
+        seed = as_integer(data.get("seed", 7), "seed")
         if kind == "circle-posterior":
             required = {"kind", "prior", "observation", "data"}
             unknown = set(data) - required - {"name", "seed", "grid"}
@@ -163,10 +163,11 @@ class ExperimentConfig:
                 name=name, kind=kind, seed=seed,
                 prior=GaussianMixtureIntensity.from_list(data["prior"]),
                 observation=ObservationModel.from_dict(data["observation"]),
-                circle_n=int(data["data"].get("n", 50)),
+                circle_n=as_integer(data["data"].get("n", 50), "data.n"),
                 circle_noise_variance=float(data["data"].get("noise_variance", 0.001)),
                 grid=Grid(*[float(v) for v in grid_spec[:4]],
-                          int(grid_spec[4]), int(grid_spec[5])))
+                          as_integer(grid_spec[4], "grid nx"),
+                          as_integer(grid_spec[5], "grid ny")))
         if kind == "lattice-cv":
             lattice = data.get("lattice", {})
             observation = data.get("observation")
@@ -174,11 +175,11 @@ class ExperimentConfig:
                 name=name, kind=kind, seed=seed,
                 observation=ObservationModel.from_dict(observation)
                 if observation else None,
-                n_per_class=int(data.get("n_per_class", 200)),
-                lattice_cells=int(lattice.get("cells", 2)),
+                n_per_class=as_integer(data.get("n_per_class", 200), "n_per_class"),
+                lattice_cells=as_integer(lattice.get("cells", 2), "lattice.cells"),
                 lattice_constant=float(lattice.get("lattice_constant", 2.0)),
                 lattice_retention=float(lattice.get("retention", 0.35)),
-                folds=int(data.get("folds", 10)))
+                folds=as_integer(data.get("folds", 10), "folds"))
         raise ValidationError(
             f"experiment kind must be 'circle-posterior' or 'lattice-cv', "
             f"got {kind!r}")

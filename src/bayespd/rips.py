@@ -1,11 +1,11 @@
 """Vietoris-Rips persistent homology from point clouds.
 
 A simplex enters the filtration at its diameter (closed convention: a
-simplex with diameter exactly equal to the threshold is included). Homology
-is computed over Z/2 by the standard boundary-matrix column reduction with
-clearing, processing dimensions from high to low. Columns are stored as
-Python integers used as bitsets; the pivot of a column is its highest set
-bit, and column addition is XOR.
+simplex with diameter exactly equal to the threshold is included); equal
+diameters are ordered by dimension, then by vertex indices. Homology is
+over Z/2: H0 by union-find over the edges in filtration order, each higher
+dimension by reducing coboundary columns with clearing and apparent pairs
+(Bauer 2021, "Ripser"; de Silva, Morozov & Vejdemo-Johansson 2011).
 
 Zero-persistence pairs are discarded. Classes still alive at ``max_radius``
 (essential classes in the truncated filtration) are dropped and counted on
@@ -14,6 +14,7 @@ the returned diagram.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -26,6 +27,7 @@ from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
+_BLOCK_CELLS = 1 << 16  # (face, vertex) cells per block of coface enumeration
 
 
 @dataclass(frozen=True)
@@ -35,13 +37,12 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValidationError(
                 f"points must form an (n, d) array with d >= 1, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("point coordinates must be finite")
-        pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -54,9 +55,7 @@ class PointCloud:
         return self.points.shape[1]
 
     def diameter(self) -> float:
-        if self.n_points < 2:
-            return 0.0
-        return float(np.max(pdist(self.points)))
+        return float(np.max(pdist(self.points), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -83,96 +82,88 @@ def rips_persistence(cloud: PointCloud,
 
     Simplices up to dimension ``max_homology_dim + 1`` are built (only those
     with diameter <= max_radius). H0 features are born at 0; the essential
-    class per connected component is dropped and counted.
+    class per connected component is dropped and counted. Features come in
+    descending death dimension, then in the filtration order of their death.
     """
     if cloud.n_points == 0:
         raise ValidationError("cannot build a filtration on an empty cloud")
 
     simplices, values = _build_filtration(cloud, params)
-    order = sorted(range(len(simplices)),
-                   key=lambda i: (values[i], len(simplices[i]), simplices[i]))
-    index_of = {simplices[i]: rank for rank, i in enumerate(order)}
-    sorted_simplices = [simplices[i] for i in order]
-    sorted_values = [values[i] for i in order]
+    starts = [*(len(simplices) - np.count_nonzero(simplices >= 0, axis=0)),
+              len(simplices)]
+    layers = []  # per dimension: lexicographic rows, filtration order, sorted values
+    for d, (a, b) in enumerate(zip(starts, starts[1:])):
+        order = np.argsort(values[a:b], kind="stable")
+        layers.append((simplices[a:b, :d + 1], order, values[a:b][order]))
 
-    pairs = _reduce(sorted_simplices, index_of)
+    n, n_essential, cleared, found = cloud.n_points, 0, [], []
+    for d in range(params.max_homology_dim + 1):
+        (faces, face_order, face_values), (cofaces, coface_order,
+                                           coface_values) = layers[d:d + 2]
+        if d == 0:
+            born, died = _union_find(n, cofaces[coface_order])
+        else:  # vertex tuples as integers that increase lexicographically
+            shape = (n,) * (d + 1)
+            queries = [np.ravel_multi_index(np.delete(cofaces, m, axis=1).T, shape)
+                       for m in range(d + 2)]
+            facets = np.argsort(face_order)[np.searchsorted(
+                np.ravel_multi_index(faces.T, shape), queries)]
+            born, died = _coboundary_pairs(facets[:, coface_order].T, len(faces),
+                                           cleared)
+        n_essential += len(faces) - len(cleared) - len(born)
+        found.append((face_values[born], coface_values[died], np.full(len(born), d)))
+        cleared = died
 
-    paired = set()
-    births, deaths, dims = [], [], []
-    for i, j in pairs:
-        paired.add(i)
-        paired.add(j)
-        if sorted_values[j] > sorted_values[i]:
-            births.append(sorted_values[i])
-            deaths.append(sorted_values[j])
-            dims.append(len(sorted_simplices[i]) - 1)
-
-    n_essential = sum(
-        1 for rank, s in enumerate(sorted_simplices)
-        if len(s) - 1 <= params.max_homology_dim and rank not in paired)
     if n_essential:
         warnings.warn(
             f"dropping {n_essential} essential class(es) still alive at "
             f"max_radius={params.max_radius}", stacklevel=2)
-
-    return PersistenceDiagram(
-        np.asarray(births), np.asarray(deaths),
-        np.asarray(dims, dtype=np.int64),
-        n_dropped_infinite=n_essential)
+    births, deaths, dims = map(np.concatenate, zip(*reversed(found)))
+    keep = deaths > births
+    return PersistenceDiagram(births[keep], deaths[keep], dims[keep],
+                              n_dropped_infinite=n_essential)
 
 
 def _build_filtration(cloud: PointCloud, params: FiltrationParams):
-    """Enumerate simplices with diameter <= max_radius, up to dim K+1."""
+    """Every simplex of diameter <= max_radius up to dimension K+1, as an
+    (N, K+2) vertex array padded with -1 (the vertices, then the edges and
+    so on, each dimension in lexicographic order) and the N diameters."""
     n = cloud.n_points
-    top_dim = params.max_homology_dim + 1
-    budget = params.simplex_budget
-
-    if n > 1:
-        dist = squareform(pdist(cloud.points))
-    else:
-        dist = np.zeros((1, 1))
-    radius = params.max_radius
-
-    simplices: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    values: list[float] = [0.0] * n
-    _check_budget(len(simplices), budget)
-
-    adjacency = dist <= radius
+    _check_budget(n, params.simplex_budget)
+    dist = squareform(pdist(cloud.points))
+    adjacency = dist <= params.max_radius
     np.fill_diagonal(adjacency, False)
-
-    edges = []
-    for i in range(n):
-        for j in np.nonzero(adjacency[i, i + 1:])[0] + i + 1:
-            edges.append((i, int(j)))
-    _check_budget(len(simplices) + len(edges), budget)
-    for i, j in edges:
-        simplices.append((i, j))
-        values.append(float(dist[i, j]))
-
-    if top_dim >= 2:
-        count = len(simplices)
-        for i, j in edges:
-            common = np.nonzero(adjacency[i] & adjacency[j])[0]
-            for k in common[common > j]:
-                count += 1
-                _check_budget(count, budget)
-                simplices.append((i, j, int(k)))
-                values.append(float(max(dist[i, j], dist[i, k], dist[j, k])))
-
-    if top_dim >= 3:
-        count = len(simplices)
-        triangles = [s for s in simplices if len(s) == 3]
-        for i, j, k in triangles:
-            common = np.nonzero(adjacency[i] & adjacency[j] & adjacency[k])[0]
-            for m in common[common > k]:
-                count += 1
-                _check_budget(count, budget)
-                simplices.append((i, j, k, int(m)))
-                values.append(float(max(
-                    dist[i, j], dist[i, k], dist[i, m],
-                    dist[j, k], dist[j, m], dist[k, m])))
-
+    layers = [np.arange(n)[:, None]]
+    for _ in range(params.max_homology_dim + 1):
+        layers.append(_cofaces(layers[-1], adjacency, sum(map(len, layers)),
+                               params.simplex_budget))
+    simplices = np.concatenate([
+        np.pad(layer, ((0, 0), (0, len(layers) - layer.shape[1])), constant_values=-1)
+        for layer in layers])
+    values = np.concatenate([np.zeros(n)] + [
+        np.max([dist[layer[:, a], layer[:, b]]
+                for a, b in combinations(range(layer.shape[1]), 2)], axis=0)
+        for layer in layers[1:]])
     return simplices, values
+
+
+def _cofaces(faces: np.ndarray, adjacency: np.ndarray, count: int,
+             budget: int) -> np.ndarray:
+    """Each row of ``faces`` extended by each vertex above its last that is
+    adjacent to all of its vertices, in lexicographic order. A block of rows
+    is extended only once ``count`` plus the cofaces found fits the budget."""
+    n = len(adjacency)
+    step = max(1, _BLOCK_CELLS // n)
+    parts = [np.empty((0, faces.shape[1] + 1), dtype=np.int64)]
+    for lo in range(0, len(faces), step):
+        block = faces[lo:lo + step]
+        mask = (np.logical_and.reduce(adjacency[block], axis=1)
+                & (np.arange(n) > block[:, -1:]))
+        count += np.count_nonzero(mask)
+        _check_budget(count, budget)
+        rows, vertex = np.nonzero(mask)
+        parts.append(np.column_stack((faces[lo + rows], vertex)))
+    return np.concatenate(parts)
 
 
 def _check_budget(count: int, budget: int) -> None:
@@ -183,63 +174,77 @@ def _check_budget(count: int, budget: int) -> None:
             "max_radius/max_homology_dim")
 
 
-def _reduce(sorted_simplices, index_of) -> list[tuple[int, int]]:
-    """Column reduction with clearing, dimensions processed high to low.
+def _union_find(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adds the (m, 2) ``edges`` in order to ``n`` singletons; returns, for
+    each edge that joins two components, the younger component's oldest
+    vertex and the edge's position."""
+    parent, born, died = list(range(n)), [], []
 
-    Returns (birth_index, death_index) pairs in the sorted order.
-    """
-    by_dim: dict[int, list[int]] = {}
-    for rank, s in enumerate(sorted_simplices):
-        by_dim.setdefault(len(s) - 1, []).append(rank)
-
-    pivot_col: dict[int, int] = {}
-    cleared: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-
-    for p in sorted(by_dim, reverse=True):
-        if p == 0:
-            continue
-        for j in by_dim[p]:
-            if j in cleared:
-                continue
-            col = 0
-            simplex = sorted_simplices[j]
-            for facet in combinations(simplex, p):
-                col |= 1 << index_of[facet]
-            while col:
-                low = col.bit_length() - 1
-                other = pivot_col.get(low)
-                if other is None:
-                    break
-                col ^= other
-            if col:
-                low = col.bit_length() - 1
-                pivot_col[low] = col
-                cleared.add(low)
-                pairs.append((low, j))
-    return pairs
-
-
-def connected_components(cloud: PointCloud, radius: float) -> int:
-    """Number of connected components of the radius graph (union-find)."""
-    n = cloud.n_points
-    parent = list(range(n))
-
-    def find(a: int) -> int:
+    def root(a: int) -> int:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    if n > 1:
-        dist = squareform(pdist(cloud.points))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist[i, j] <= radius:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
-    return sum(1 for i in range(n) if find(i) == i)
+    for position, (a, b) in enumerate(edges.tolist()):
+        if len(died) == n - 1:
+            break
+        a, b = sorted((root(a), root(b)))
+        if a != b:
+            parent[b] = a
+            born.append(b)
+            died.append(position)
+    return np.array(born, dtype=np.int64), np.array(died, dtype=np.int64)
+
+
+def _coboundary_pairs(facets: np.ndarray, n_faces: int, cleared):
+    """Persistence pairs (face ranks, coface ranks) of one dimension, ordered
+    by coface rank; ``facets[t]`` holds the face ranks of coface t's facets.
+
+    Columns are face coboundaries, reduced from the last face to the first;
+    a pivot is a column's first coface. ``cleared`` faces killed a class one
+    dimension down, so their columns are zero. A face whose first coface has
+    it as its last facet is an apparent pair: its column is built only when
+    another column's pivot lands on it. A column is a heap of coface ranks
+    in which equal pairs cancel."""
+    n_cofaces = len(facets)
+    incidences = np.sort(facets * n_cofaces + np.arange(n_cofaces)[:, None], axis=None)
+    coboundary = incidences % n_cofaces  # each face's cofaces, ascending
+    ptr = np.searchsorted(incidences, np.arange(n_faces + 1) * n_cofaces)
+    candidates = np.flatnonzero(ptr[1:] > ptr[:-1])
+    first = coboundary[ptr[candidates]]
+    apparent = facets.max(axis=1)[first] == candidates
+    owner = dict(zip(first[apparent].tolist(), candidates[apparent].tolist()))
+    ptr = ptr.tolist()
+
+    def column(face: int) -> list[int]:
+        return coboundary[ptr[face]:ptr[face + 1]].tolist()
+
+    todo = np.setdiff1d(np.arange(n_faces),
+                        np.concatenate((cleared, candidates[apparent])))
+    reduced = {}
+    for face in todo[::-1].tolist():
+        heap = column(face)
+        while heap:
+            if len(heap) > 1 and heap[0] == min(heap[1:3]):
+                heapq.heappop(heap)
+                heapq.heappop(heap)
+            elif heap[0] in owner:
+                other = owner[heap[0]]
+                for coface in reduced.get(other) or column(other):
+                    heapq.heappush(heap, coface)
+            else:
+                owner[heap[0]] = face
+                reduced[face] = heap
+                break
+    died = np.array(sorted(owner), dtype=np.int64)
+    return np.array([owner[t] for t in died.tolist()], dtype=np.int64), died
+
+
+def connected_components(cloud: PointCloud, radius: float) -> int:
+    """Number of connected components of the radius graph (union-find)."""
+    edges = np.argwhere(np.triu(squareform(pdist(cloud.points)) <= radius, 1))
+    return cloud.n_points - len(_union_find(cloud.n_points, edges)[1])
 
 
 # -- point-cloud file I/O ----------------------------------------------------
@@ -252,11 +257,8 @@ def write_point_cloud_csv(cloud: PointCloud, path) -> None:
 
 def read_point_cloud_csv(path, *, skip_header: bool = False) -> PointCloud:
     with open(path, "r") as handle:
-        lines = handle.read().splitlines()
-    if skip_header and lines:
-        lines = lines[1:]
-    rows = []
-    width = None
+        lines = handle.read().splitlines()[1 if skip_header else 0:]
+    rows, width = [], None
     for lineno, line in enumerate(lines, start=2 if skip_header else 1):
         if not line.strip():
             continue

@@ -7,6 +7,7 @@ from bayespd import (GaussianMixtureIntensity, MixtureComponent, PriorSpec,
                      write_mixture_json, write_point_cloud_csv)
 from bayespd._util import derived_rng
 from bayespd.cli import main, parse_grid, parse_prior_mode
+from bayespd.presets import experiment_presets
 from bayespd.rips import PointCloud
 
 
@@ -217,9 +218,12 @@ def test_experiment_list_and_usage(tmp_path, capsys):
     assert main(["experiment", "--preset", "case1-informative", "--config",
                  "x.json", "--outdir", str(tmp_path)]) == 1
     assert main(["experiment", "--preset", "case1-informative"]) == 1
+    capsys.readouterr()
     assert main(["experiment", "--preset", "case99", "--outdir",
                  str(tmp_path)]) == 1
-    capsys.readouterr()
+    available = ", ".join(sorted(experiment_presets()))
+    assert capsys.readouterr().err == (
+        f"error: unknown experiment preset 'case99'; available: {available}\n")
 
 
 def experiment_config_json(tmp_path):
@@ -316,3 +320,44 @@ def test_config_validate_rejects_malformed_field_values(tmp_path, capsys, conten
     path.write_text(json.dumps(content))
     assert main(["config-validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+CIRCLE_CONFIG = {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],
+                 "observation": GOOD_MODEL, "data": {"n": 30}}
+
+
+@pytest.mark.parametrize("content, field", [
+    ({"kind": "lattice-cv", "seed": 1.5}, "seed"),
+    ({"kind": "lattice-cv", "n_per_class": 20.7}, "n_per_class"),
+    ({"kind": "lattice-cv", "folds": 2.5}, "folds"),
+    ({"kind": "lattice-cv", "lattice": {"cells": 2.5}}, "lattice.cells"),
+    (dict(CIRCLE_CONFIG, data={"n": 30.5}), "data.n"),
+    (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50.5, 50]), "grid nx"),
+    (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50, 50.5]), "grid ny"),
+], ids=["seed", "n_per_class", "folds", "lattice-cells", "circle-n", "grid-nx",
+        "grid-ny"])
+def test_config_validate_rejects_fractional_integer_fields(tmp_path, capsys,
+                                                           content, field):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(content))
+    assert main(["config-validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert f"{field} must be an integer, got " in err
+
+
+def test_config_validate_accepts_integral_floats(tmp_path, capsys):
+    path = tmp_path / "integral.json"
+    path.write_text(json.dumps({"kind": "lattice-cv", "seed": 3.0, "folds": 10.0,
+                                "n_per_class": 20.0, "lattice": {"cells": 2.0}}))
+    assert main(["config-validate", str(path)]) == 0
+    assert "experiment config (lattice-cv)" in capsys.readouterr().out
+
+
+def test_experiment_config_errors_name_the_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "lattice-cv", "seed": "x"}))
+    assert main(["experiment", "--config", str(path), "--outdir",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: experiment config: invalid literal for int()")

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 from scipy.spatial.distance import pdist, squareform
@@ -186,6 +191,22 @@ def test_simplex_budget_error():
                          FiltrationParams(simplex_budget=100))
 
 
+def test_budget_error_fires_before_the_complex_is_built():
+    # 400 points: C(400, 2) edges and C(400, 3) triangles (243 MiB as an
+    # index array) exceed both budgets; only the distance matrix may exist
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (400, 3))
+    for budget, limit in ((1000, 3 * 2**20), (400 + 400 * 399 // 2, 6 * 2**20)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimplexBudgetError, match="^filtration needs at least"):
+                rips_persistence(PointCloud(pts),
+                                 FiltrationParams(simplex_budget=budget))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (budget, peak)
+
+
 def test_filtration_params_validation():
     with pytest.raises(ValidationError):
         FiltrationParams(max_homology_dim=3)
@@ -227,3 +248,139 @@ def test_point_cloud_csv_errors(tmp_path):
     path.write_text("x,y\n0.5,0.5\n")
     parsed = read_point_cloud_csv(path, skip_header=True)
     assert parsed.points.tolist() == [[0.5, 0.5]]
+
+
+# -- differential test against the boundary-matrix reducer ----------------------
+
+def oracle_filtration(cloud, params):
+    """Every simplex with diameter <= max_radius up to dim K+1, as tuples."""
+    n = cloud.n_points
+    top_dim = params.max_homology_dim + 1
+    dist = squareform(pdist(cloud.points)) if n > 1 else np.zeros((1, 1))
+    adjacency = dist <= params.max_radius
+    np.fill_diagonal(adjacency, False)
+    simplices = [(i,) for i in range(n)]
+    values = [0.0] * n
+    edges = [(i, int(j)) for i in range(n)
+             for j in np.nonzero(adjacency[i, i + 1:])[0] + i + 1]
+    for i, j in edges:
+        simplices.append((i, j))
+        values.append(float(dist[i, j]))
+    if top_dim >= 2:
+        for i, j in edges:
+            common = np.nonzero(adjacency[i] & adjacency[j])[0]
+            for k in common[common > j]:
+                simplices.append((i, j, int(k)))
+                values.append(float(max(dist[i, j], dist[i, k], dist[j, k])))
+    if top_dim >= 3:
+        for i, j, k in [s for s in simplices if len(s) == 3]:
+            common = np.nonzero(adjacency[i] & adjacency[j] & adjacency[k])[0]
+            for m in common[common > k]:
+                simplices.append((i, j, k, int(m)))
+                values.append(float(max(
+                    dist[i, j], dist[i, k], dist[i, m],
+                    dist[j, k], dist[j, m], dist[k, m])))
+    return simplices, values
+
+
+def oracle_reduce(sorted_simplices, index_of):
+    """Boundary-matrix column reduction over Z/2 with clearing, dimensions
+    high to low; columns are Python-int bitsets whose pivot is the highest
+    set bit. Returns (birth_index, death_index) pairs in the sorted order."""
+    by_dim = {}
+    for rank, s in enumerate(sorted_simplices):
+        by_dim.setdefault(len(s) - 1, []).append(rank)
+    pivot_col, cleared, pairs = {}, set(), []
+    for p in sorted(by_dim, reverse=True):
+        if p == 0:
+            continue
+        for j in by_dim[p]:
+            if j in cleared:
+                continue
+            col = 0
+            for facet in combinations(sorted_simplices[j], p):
+                col |= 1 << index_of[facet]
+            while col:
+                other = pivot_col.get(col.bit_length() - 1)
+                if other is None:
+                    break
+                col ^= other
+            if col:
+                low = col.bit_length() - 1
+                pivot_col[low] = col
+                cleared.add(low)
+                pairs.append((low, j))
+    return pairs
+
+
+def oracle_rips(cloud, params):
+    """(births, deaths, dims, n_essential) of the boundary-matrix reducer, in
+    the order it emits them."""
+    simplices, values = oracle_filtration(cloud, params)
+    order = sorted(range(len(simplices)),
+                   key=lambda i: (values[i], len(simplices[i]), simplices[i]))
+    index_of = {simplices[i]: rank for rank, i in enumerate(order)}
+    sorted_simplices = [simplices[i] for i in order]
+    sorted_values = [values[i] for i in order]
+    paired, births, deaths, dims = set(), [], [], []
+    for i, j in oracle_reduce(sorted_simplices, index_of):
+        paired.update((i, j))
+        if sorted_values[j] > sorted_values[i]:
+            births.append(sorted_values[i])
+            deaths.append(sorted_values[j])
+            dims.append(len(sorted_simplices[i]) - 1)
+    n_essential = sum(1 for rank, s in enumerate(sorted_simplices)
+                      if len(s) - 1 <= params.max_homology_dim
+                      and rank not in paired)
+    return births, deaths, dims, n_essential
+
+
+@st.composite
+def rips_inputs(draw):
+    """A cloud of 2-40 points in 2-D or 3-D (at most 20 for H2, whose oracle
+    is slow), with 0-3 duplicated points, coordinates on a coarse integer
+    grid (ties) or in [0, 1], and no radius cut or one below the diameter."""
+    max_dim = draw(st.sampled_from([0, 1, 2]))
+    dim = draw(st.sampled_from([2, 3]))
+    copies = draw(st.integers(0, 3))
+    n = draw(st.integers(max(1, 2 - copies), (20 if max_dim == 2 else 40) - copies))
+    coordinate = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    points += [points[draw(st.integers(0, n - 1))] for _ in range(copies)]
+    cloud = PointCloud(np.asarray(points))
+    fraction = draw(st.one_of(st.none(), st.floats(0.2, 0.95)))
+    radius = np.inf if fraction is None or cloud.diameter() == 0 else (
+        fraction * cloud.diameter())
+    return cloud, FiltrationParams(max_homology_dim=max_dim, max_radius=radius)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(rips_inputs())
+def test_coboundary_reduction_matches_the_boundary_matrix_oracle(inputs):
+    cloud, params = inputs
+    births, deaths, dims, n_essential = oracle_rips(cloud, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        d = rips_persistence(cloud, params)
+    np.testing.assert_array_equal(d.births, births)
+    np.testing.assert_array_equal(d.deaths, deaths)
+    np.testing.assert_array_equal(d.dims, dims)
+    assert d.n_dropped_infinite == n_essential
+
+
+def test_tied_deaths_keep_the_oracle_order():
+    # 5x5 squares (H1 born at 5) and 1x7 rectangles (born at 7) all die at
+    # sqrt(50): the output order of the tied deaths follows the filtration's
+    # tie-break on vertex indices
+    square = np.array([[0, 0], [5, 0], [5, 5], [0, 5]], dtype=float)
+    rectangle = np.array([[0, 0], [7, 0], [7, 1], [0, 1]], dtype=float)
+    cloud = PointCloud(np.concatenate(
+        [(square if i % 2 else rectangle) + [40.0 * i, 0.0] for i in range(12)]))
+    births, deaths, dims, n_essential = oracle_rips(cloud, FiltrationParams())
+    d = rips(cloud.points)
+    assert d.births[d.dims == 1].tolist() == [7.0, 5.0] * 6
+    np.testing.assert_array_equal(d.births, births)
+    np.testing.assert_array_equal(d.deaths, deaths)
+    np.testing.assert_array_equal(d.dims, dims)
+    assert d.n_dropped_infinite == n_essential == 1
