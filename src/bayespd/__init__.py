@@ -12,18 +12,17 @@ verification.
 from .classify import (BayesFactorReport, BayesFactorResult, ClassModel,
                        CrossValidationConfig, PriorSpec, bayes_factor,
                        bootstrap_auc, cross_validate, kmeans, kmeans_prior,
-                       log_poisson_density, posterior_predictive_logdensity,
-                       roc_curve)
-from .diagrams import (PersistenceDiagram, PersistenceFeature, read_diagram,
-                       read_diagram_csv, read_diagram_json, tilt, untilt,
-                       write_diagram, write_diagram_csv, write_diagram_json)
+                       log_poisson_density, roc_curve)
+from .diagrams import (PersistenceDiagram, read_diagram, read_diagram_csv,
+                       read_diagram_json, tilt, untilt, write_diagram,
+                       write_diagram_csv, write_diagram_json)
 from .errors import (BayesPDError, DegenerateObservationError, NumericalError,
                      QuadratureError, SamplingError, SimplexBudgetError,
                      UsageError, ValidationError)
 from .intensity import (GaussianMixtureIntensity, MixtureComponent,
                         gaussian_density, gaussian_product, in_wedge,
-                        read_mixture_json, restricted_gaussian_density,
-                        wedge_gaussian_mass, write_mixture_json)
+                        read_mixture_json, wedge_gaussian_mass,
+                        write_mixture_json)
 from .posterior import (Grid, ObservationModel, PosteriorIntensity,
                         posterior_closed_form, posterior_numeric_oracle,
                         scaled_intensity_grid, write_grid_csv)
@@ -35,9 +34,9 @@ from .quadrature import adaptive_quad_2d
 from .rips import (FiltrationParams, PointCloud, connected_components,
                    read_point_cloud_csv, rips_persistence,
                    write_point_cloud_csv)
-from .simulate import (GenerativeModel, LatticeSpec, lattice_sites,
-                       sample_lattice, sample_noisy_circle,
-                       sample_observation, sample_poisson_pp)
+from .simulate import (LatticeSpec, lattice_sites, sample_lattice,
+                       sample_noisy_circle, sample_observation,
+                       sample_poisson_pp)
 
 __version__ = "0.1.0"
 
@@ -45,9 +44,8 @@ __all__ = [
     "BayesFactorReport", "BayesFactorResult", "BayesPDError", "CASE_PRESETS",
     "ClassModel", "CrossValidationConfig", "DegenerateObservationError",
     "ExperimentConfig", "FiltrationParams", "GaussianMixtureIntensity",
-    "GenerativeModel", "Grid", "LatticeSpec", "MixtureComponent",
-    "NumericalError", "ObservationModel", "PRIOR_PRESETS",
-    "PersistenceDiagram", "PersistenceFeature", "PointCloud",
+    "Grid", "LatticeSpec", "MixtureComponent", "NumericalError",
+    "ObservationModel", "PRIOR_PRESETS", "PersistenceDiagram", "PointCloud",
     "PosteriorIntensity", "PriorSpec", "QuadratureError", "SamplingError",
     "SimplexBudgetError", "UsageError", "ValidationError", "adaptive_quad_2d",
     "aptlike_observation_model", "bayes_factor", "bootstrap_auc",
@@ -55,10 +53,9 @@ __all__ = [
     "experiment_preset", "experiment_presets", "gaussian_density",
     "gaussian_product", "h1_diagram", "in_wedge",
     "kmeans", "kmeans_prior", "lattice_sites", "log_poisson_density",
-    "posterior_closed_form", "posterior_numeric_oracle",
-    "posterior_predictive_logdensity", "prior_preset", "read_diagram",
-    "read_diagram_csv", "read_diagram_json", "read_mixture_json",
-    "read_point_cloud_csv", "restricted_gaussian_density", "rips_persistence",
+    "posterior_closed_form", "posterior_numeric_oracle", "prior_preset",
+    "read_diagram", "read_diagram_csv", "read_diagram_json",
+    "read_mixture_json", "read_point_cloud_csv", "rips_persistence",
     "roc_curve", "run_experiment", "sample_lattice", "sample_noisy_circle",
     "sample_observation", "sample_poisson_pp", "scaled_intensity_grid",
     "tilt", "untilt", "wedge_gaussian_mass", "write_diagram",

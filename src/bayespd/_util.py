@@ -1,5 +1,5 @@
 """Small shared helpers: RNG plumbing, stable summation, JSON reading and
-field conversion, atomic file writes."""
+field conversion, atomic file writes of text and JSON."""
 
 from __future__ import annotations
 
@@ -44,8 +44,6 @@ def stable_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     summation, so permuting the inputs can never change the rounded result.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.shape[axis] == 0:
-        return np.sum(values, axis=axis)
     return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
@@ -63,9 +61,23 @@ def read_json(path: str | os.PathLike):
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
+def from_json(path: str | os.PathLike, build):
+    """``build`` applied to the JSON file at ``path``; a ValidationError it
+    raises is given the path as a prefix unless it already has it."""
+    data = read_json(path)
+    try:
+        return build(data)
+    except ValidationError as exc:
+        message = str(exc)
+        raise ValidationError(message if message.startswith(f"{path}: ")
+                              else f"{path}: {message}") from None
+
+
 def as_integer(value, what: str) -> int:
-    """``int(value)``, refusing a float with a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a JSON number, refusing strings, booleans and floats
+    with a fractional part."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -100,3 +112,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_json(path: str | os.PathLike, data, *, sort_keys: bool = False) -> None:
+    """Write ``data`` atomically as JSON indented by two spaces, ending in a
+    newline."""
+    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=sort_keys) + "\n")

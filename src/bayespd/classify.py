@@ -20,28 +20,32 @@ assigns the first class.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._util import as_generator, atomic_write_text, derived_rng
+from ._util import as_generator, derived_rng, write_json
 from .diagrams import PersistenceDiagram
 from .errors import ValidationError
-from .intensity import GaussianMixtureIntensity, MixtureComponent
+from .intensity import GaussianMixtureIntensity, MixtureComponent, squared_distance
 from .posterior import ObservationModel, PosteriorIntensity, posterior_closed_form
 
 DENSITY_MODES = ("paper-literal", "mass-consistent")
 
+#: k-means restarts; the best-inertia run wins.
+KMEANS_RESTARTS = 50
 
-def _check_mode(mode: str) -> str:
+#: Resampled fold sets behind the bootstrap AUC summary.
+BOOTSTRAP_RESAMPLES = 2000
+
+
+def _check_mode(mode: str) -> None:
     if mode not in DENSITY_MODES:
         raise ValidationError(
             f"mode must be one of {DENSITY_MODES}, got {mode!r}")
-    return mode
 
 
 def _log_density_parts(intensity, diagram: PersistenceDiagram,
@@ -97,13 +101,6 @@ class ClassModel:
         return posterior_closed_form(self.prior, self.observation, self.training)
 
 
-def posterior_predictive_logdensity(model: ClassModel,
-                                    diagram: PersistenceDiagram,
-                                    mode: str = "paper-literal") -> float:
-    """log p(diagram | model): density under the trained posterior."""
-    return log_poisson_density(model.posterior, diagram, mode)
-
-
 @dataclass(frozen=True)
 class BayesFactorResult:
     """Outcome of one comparison: log Bayes factor and the assignment.
@@ -150,18 +147,18 @@ def _kmeans_once(points: np.ndarray, k: int,
     n = len(points)
     centers = np.empty((k, 2))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = squared_distance(points, centers[0])
     for j in range(1, k):
         total = math.fsum(d2)
         if total <= 0.0:
             centers[j] = points[rng.integers(n)]
         else:
             centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, squared_distance(points, centers[j]))
 
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(300):
-        dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        dists = squared_distance(points[:, None], centers)
         new_assign = np.argmin(dists, axis=1)
         for j in range(k):
             members = new_assign == j
@@ -175,15 +172,13 @@ def _kmeans_once(points: np.ndarray, k: int,
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    inertia = float(np.sum(np.min(
-        np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)))
+    inertia = float(np.sum(np.min(squared_distance(points[:, None], centers), axis=1)))
     return centers, inertia
 
 
-def kmeans(points: np.ndarray, k: int, rng_seed, *,
-           n_init: int = 50) -> np.ndarray:
-    """Deterministic k-means: 50 restarts, best inertia, centers sorted
-    lexicographically so the output never depends on restart order."""
+def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
+    """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, best inertia, centers
+    sorted lexicographically so the output never depends on restart order."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -193,7 +188,7 @@ def kmeans(points: np.ndarray, k: int, rng_seed, *,
             f"k={k} exceeds the {n_distinct} distinct feature location(s)")
     rng = as_generator(rng_seed)
     best, best_inertia = None, math.inf
-    for _ in range(n_init):
+    for _ in range(KMEANS_RESTARTS):
         centers, inertia = _kmeans_once(points, k, rng)
         if inertia < best_inertia:
             best, best_inertia = centers, inertia
@@ -246,25 +241,22 @@ def roc_curve(positive_scores, negative_scores) -> tuple[list[tuple[float, float
     return points, auc
 
 
-def bootstrap_auc(fold_aucs, resamples: int = 2000,
-                  rng_seed=0) -> tuple[float, float, float]:
+def bootstrap_auc(fold_aucs, rng_seed=0) -> tuple[float, float, float]:
     """Bootstrap the mean of per-fold AUCs.
 
-    Resamples the folds with replacement ``resamples`` times and returns the
-    (5th percentile, mean, 95th percentile) of the resampled means. With all
-    fold AUCs equal to a, every statistic equals a.
+    Resamples the folds with replacement ``BOOTSTRAP_RESAMPLES`` times and
+    returns the (5th percentile, mean, 95th percentile) of the resampled
+    means. With all fold AUCs equal to a, every statistic equals a.
     """
     aucs = np.asarray(fold_aucs, dtype=np.float64)
     if aucs.ndim != 1 or len(aucs) == 0:
         raise ValidationError("fold_aucs must be a nonempty 1-D sequence")
-    if resamples < 1:
-        raise ValidationError("resamples must be >= 1")
     if np.all(aucs == aucs[0]):
         # every resampled mean equals the common value; computing it would
         # only add ulp-level accumulation noise
         return (float(aucs[0]),) * 3
     rng = as_generator(rng_seed)
-    idx = rng.integers(0, len(aucs), size=(resamples, len(aucs)))
+    idx = rng.integers(0, len(aucs), size=(BOOTSTRAP_RESAMPLES, len(aucs)))
     draws = aucs[idx].mean(axis=1)
     return (float(np.percentile(draws, 5)), float(np.mean(draws)),
             float(np.percentile(draws, 95)))
@@ -339,29 +331,28 @@ class BayesFactorReport:
     n_undecidable: int = 0
     prior_description: dict = field(default_factory=dict)
 
+    @property
+    def bootstrap_percentiles(self) -> dict:
+        """``bootstrap_summary`` keyed p5, mean, p95, as the JSON files hold it."""
+        return dict(zip(("p5", "mean", "p95"), self.bootstrap_summary))
+
     def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "folds": self.folds,
-            "threshold": self.threshold,
-            "mode": self.mode,
-            "rng_seed": self.rng_seed,
-            "entries": list(self.entries),
-            "fold_aucs": list(self.fold_aucs),
-            "roc_points": [[list(p) for p in fold] for fold in self.roc_points],
-            "auc": self.auc,
-            "bootstrap_summary": {
-                "p5": self.bootstrap_summary[0],
-                "mean": self.bootstrap_summary[1],
-                "p95": self.bootstrap_summary[2],
-            },
-            "n_undecidable": self.n_undecidable,
-            "prior": self.prior_description,
-        }
+        """The fields as JSON data: tuples become lists, ``prior_description``
+        is keyed "prior" and the bootstrap summary is keyed by percentile."""
+        out = asdict(self)
+        out.update(prior=out.pop("prior_description"),
+                   bootstrap_summary=self.bootstrap_percentiles)
+        return _as_lists(out)
 
     def write_json(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2,
-                                           sort_keys=True) + "\n")
+        write_json(path, self.to_dict(), sort_keys=True)
+
+
+def _as_lists(value):
+    """``value`` with its tuples turned into lists, at every depth."""
+    if isinstance(value, dict):
+        return {key: _as_lists(v) for key, v in value.items()}
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _stratified_folds(n: int, folds: int,
@@ -431,16 +422,12 @@ def cross_validate(class1: Sequence[PersistenceDiagram],
         fold_aucs.append(auc)
 
     mean_auc = math.fsum(fold_aucs) / len(fold_aucs)
-    summary = bootstrap_auc(fold_aucs, 2000, derived_rng(config.rng_seed, 3))
+    summary = bootstrap_auc(fold_aucs, derived_rng(config.rng_seed, 3))
     return BayesFactorReport(
         labels=config.labels, folds=config.folds, threshold=config.threshold,
         mode=config.mode, rng_seed=config.rng_seed, entries=tuple(entries),
         fold_aucs=tuple(fold_aucs), roc_points=tuple(roc_all), auc=mean_auc,
         bootstrap_summary=summary, n_undecidable=n_undecidable,
-        prior_description={
-            "kind": config.prior.kind,
-            **({"k": config.prior.k} if config.prior.kind == "kmeans"
-               else {"mean": list(config.prior.mean)}),
-            "variance": config.prior.variance,
-            "weight": config.prior.weight,
-        })
+        prior_description={  # the fields of the prior's kind: k or mean
+            key: value for key, value in asdict(config.prior).items()
+            if key != ("mean" if config.prior.kind == "kmeans" else "k")})

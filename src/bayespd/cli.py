@@ -12,13 +12,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from ._util import atomic_write_text, derived_rng, read_json
+from ._util import derived_rng, from_json, write_json
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import read_diagram, read_diagram_json, write_diagram
 from .errors import NumericalError, UsageError, ValidationError
@@ -59,6 +58,14 @@ def parse_grid(text: str) -> Grid:
         return Grid(*extents, nx, ny)
     except ValidationError as exc:
         raise UsageError(f"--grid: {exc}") from None
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of the ``--seed`` options (numpy refuses negative seeds)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def parse_prior_mode(text: str) -> PriorSpec:
@@ -119,17 +126,6 @@ def _resolve_prior(spec: str) -> GaussianMixtureIntensity:
         f"{', '.join(sorted(PRIOR_PRESETS))}")
 
 
-def _from_json(path, build):
-    """``build`` applied to the JSON file at ``path``; its errors name the path."""
-    data = read_json(path)
-    try:
-        return build(data)
-    except ValidationError as exc:
-        message = str(exc)
-        raise ValidationError(message if message.startswith(str(path))
-                              else f"{path}: {message}") from None
-
-
 def _read_diagram_dir(directory, homology_dim: int):
     directory = Path(directory)
     if not directory.is_dir():
@@ -158,7 +154,7 @@ def _cmd_compute_pd(args) -> int:
 
 def _cmd_posterior(args) -> int:
     prior = _resolve_prior(args.prior)
-    model = _from_json(args.model, ObservationModel.from_dict)
+    model = from_json(args.model, ObservationModel.from_dict)
     observations = [read_diagram(p).restrict(args.dim) for p in args.obs]
     posterior = posterior_closed_form(prior, model, observations)
     grid = parse_grid(args.grid)
@@ -176,8 +172,7 @@ def _cmd_posterior(args) -> int:
             "masses": masses,
             "scaled": bool(args.scaled),
         }
-        atomic_write_text(args.summary,
-                          json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(args.summary, summary, sort_keys=True)
     print(f"wrote {grid.ny}x{grid.nx} grid to {args.out} "
           f"(total mass {masses['total']:.6g})")
     return 0
@@ -202,7 +197,7 @@ def _cmd_simulate_lattice(args) -> int:
 
 def _cmd_simulate_diagram(args) -> int:
     prior = _resolve_prior(args.prior)
-    model = _from_json(args.model, ObservationModel.from_dict)
+    model = from_json(args.model, ObservationModel.from_dict)
     latent = sample_poisson_pp(prior, derived_rng(args.seed, 0),
                                homology_dim=args.dim)
     observed = sample_observation(model, latent, derived_rng(args.seed, 1))
@@ -247,7 +242,7 @@ def _cmd_experiment(args) -> int:
     if args.outdir is None:
         raise UsageError("experiment needs --outdir")
     config = (experiment_preset(args.preset) if args.config is None
-              else _from_json(args.config, ExperimentConfig.from_dict))
+              else from_json(args.config, ExperimentConfig.from_dict))
     manifest = run_experiment(config, args.outdir, seed=args.seed)
     if config.kind == "circle-posterior":
         argmax = manifest["posterior_argmax"]
@@ -295,7 +290,7 @@ def _validate_config_file(path) -> str:
             "unrecognized config shape (expected a mixture list, a diagram "
             "list, an observation model, or an experiment config)")
 
-    return _from_json(path, describe)
+    return from_json(path, describe)
 
 
 # -- parser --------------------------------------------------------------------
@@ -358,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=50, help="number of points (default 50)")
     c.add_argument("--noise-var", type=float, default=0.01,
                    help="per-coordinate noise variance (default 0.01)")
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--seed", type=non_negative_int, default=7)
     c.add_argument("--out", required=True, help="point-cloud CSV output")
     c.set_defaults(func=_cmd_simulate_circle)
 
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--noise", type=float, default=None,
                    help="jitter standard deviation (default 5%% of the "
                         "lattice constant)")
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--seed", type=non_negative_int, default=7)
     c.add_argument("--out", required=True, help="point-cloud CSV output")
     c.set_defaults(func=_cmd_simulate_lattice)
 
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", required=True, help="observation-model JSON")
     c.add_argument("--dim", type=int, default=1,
                    help="homology dimension of the sampled features (default 1)")
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--seed", type=non_negative_int, default=7)
     c.add_argument("--out", required=True, help="observed diagram output")
     c.add_argument("--latent-out", default=None,
                    help="optional path for the latent diagram")
@@ -412,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density normalization mode")
     p.add_argument("--threshold", type=float, default=1.0,
                    help="Bayes-factor decision threshold (default 1)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--report", required=True, help="report JSON output path")
     p.set_defaults(func=_cmd_classify)
 
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="preset name (see --list)")
     p.add_argument("--config", default=None, help="experiment-config JSON path")
     p.add_argument("--outdir", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=non_negative_int, default=None,
                    help="override the config seed")
     p.add_argument("--list", action="store_true", help="list presets and exit")
     p.set_defaults(func=_cmd_experiment)
@@ -449,16 +444,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except UsageError as exc:
+    except (UsageError, NumericalError, ValidationError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, UsageError):
+            return 1
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

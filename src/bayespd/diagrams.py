@@ -13,34 +13,18 @@ round trips. Carrying both arrays sidesteps that entirely.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._util import as_integer, atomic_write_text, read_json
+from ._util import as_integer, atomic_write_text, read_json, write_json
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
 MAX_HOMOLOGY_DIM = 2
 
 CSV_HEADER = "birth,death,dim"
-
-
-@dataclass(frozen=True)
-class PersistenceFeature:
-    """A single feature, in tilted coordinates plus its exact death value."""
-
-    birth: float
-    persistence: float
-    homology_dim: int
-    death: float | None = None
-
-    def __post_init__(self):
-        if self.death is None:
-            object.__setattr__(self, "death", self.birth + self.persistence)
 
 
 class PersistenceDiagram:
@@ -52,8 +36,6 @@ class PersistenceDiagram:
         Feature coordinates, ``0 <= birth <= death < inf``.
     dims : array_like
         Integer homology dimensions in ``0..MAX_HOMOLOGY_DIM``.
-    metadata : str, optional
-        Free-form source label. Ignored by equality and never written to disk.
 
     Notes
     -----
@@ -62,11 +44,9 @@ class PersistenceDiagram:
     every view. Equality is multiset equality over those triples, bit exact.
     """
 
-    __slots__ = ("births", "deaths", "persistences", "dims", "metadata",
-                 "n_dropped_infinite")
+    __slots__ = ("births", "deaths", "persistences", "dims", "n_dropped_infinite")
 
-    def __init__(self, births, deaths, dims, *, metadata: str | None = None,
-                 n_dropped_infinite: int = 0):
+    def __init__(self, births, deaths, dims, *, n_dropped_infinite: int = 0):
         births = np.atleast_1d(np.asarray(births, dtype=np.float64)).copy()
         deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64)).copy()
         dims_arr = np.atleast_1d(np.asarray(dims))
@@ -84,7 +64,6 @@ class PersistenceDiagram:
         self.deaths = deaths
         self.persistences = deaths - births
         self.dims = dims_arr
-        self.metadata = metadata
         self.n_dropped_infinite = int(n_dropped_infinite)
         for arr in (self.births, self.deaths, self.persistences, self.dims):
             arr.flags.writeable = False
@@ -117,8 +96,7 @@ class PersistenceDiagram:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_birth_death(cls, births, deaths, dims, *,
-                         metadata: str | None = None) -> "PersistenceDiagram":
+    def from_birth_death(cls, births, deaths, dims) -> "PersistenceDiagram":
         """Build a diagram from birth-death triples (the on-disk convention).
 
         Features with infinite death (essential classes) are dropped; the
@@ -138,12 +116,10 @@ class PersistenceDiagram:
                 stacklevel=2)
             keep = ~infinite
             births, deaths, dims = births[keep], deaths[keep], dims[keep]
-        return cls(births, deaths, dims, metadata=metadata,
-                   n_dropped_infinite=n_dropped)
+        return cls(births, deaths, dims, n_dropped_infinite=n_dropped)
 
     @classmethod
-    def from_tilted(cls, births, persistences, dims, *,
-                    metadata: str | None = None) -> "PersistenceDiagram":
+    def from_tilted(cls, births, persistences, dims) -> "PersistenceDiagram":
         """Build a diagram from tilted (birth, persistence) pairs.
 
         The stored death is ``birth + persistence``; persistence is then
@@ -158,12 +134,11 @@ class PersistenceDiagram:
             raise ValidationError(
                 f"feature {i}: persistence must be finite and >= 0, "
                 f"got {persistences[i]!r}")
-        return cls(births, births + persistences, dims, metadata=metadata)
+        return cls(births, births + persistences, dims)
 
     @classmethod
-    def empty(cls, *, metadata: str | None = None) -> "PersistenceDiagram":
-        return cls(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64),
-                   metadata=metadata)
+    def empty(cls) -> "PersistenceDiagram":
+        return cls([], [], [])
 
     # -- views -------------------------------------------------------------
 
@@ -172,16 +147,11 @@ class PersistenceDiagram:
         """(n, 2) array of (birth, persistence) points in the wedge."""
         return np.column_stack([self.births, self.persistences])
 
-    @property
-    def birth_death_points(self) -> np.ndarray:
-        """(n, 2) array of (birth, death) points."""
-        return np.column_stack([self.births, self.deaths])
-
     def restrict(self, homology_dim: int) -> "PersistenceDiagram":
         """The sub-diagram of features in a single homology dimension."""
         keep = self.dims == int(homology_dim)
         return PersistenceDiagram(self.births[keep], self.deaths[keep],
-                                  self.dims[keep], metadata=self.metadata)
+                                  self.dims[keep])
 
     @property
     def homology_dims(self) -> np.ndarray:
@@ -189,11 +159,6 @@ class PersistenceDiagram:
 
     def __len__(self) -> int:
         return self.births.shape[0]
-
-    def __iter__(self) -> Iterator[PersistenceFeature]:
-        for b, d, p, k in zip(self.births, self.deaths, self.persistences,
-                              self.dims):
-            yield PersistenceFeature(float(b), float(p), int(k), float(d))
 
     def _canonical_order(self) -> np.ndarray:
         return np.lexsort((self.deaths, self.births, self.dims))
@@ -216,8 +181,7 @@ class PersistenceDiagram:
 
     def __repr__(self):
         return (f"PersistenceDiagram(n={len(self)}, "
-                f"dims={sorted(set(self.dims.tolist()))}, "
-                f"metadata={self.metadata!r})")
+                f"dims={sorted(set(self.dims.tolist()))})")
 
 
 # -- coordinate maps on raw points ----------------------------------------
@@ -253,20 +217,19 @@ def untilt(tilted: Sequence) -> np.ndarray:
 
 # -- file I/O ---------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips binary64
-    return repr(float(x))
+def _to_rows(diagram: PersistenceDiagram):
+    """(birth, death, dim) of each feature, as Python floats and ints."""
+    return zip(diagram.births.tolist(), diagram.deaths.tolist(), diagram.dims.tolist())
 
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
-    """Write ``birth,death,dim`` rows in birth-death coordinates."""
-    lines = [CSV_HEADER]
-    for b, d, k in zip(diagram.births, diagram.deaths, diagram.dims):
-        lines.append(f"{_format_float(b)},{_format_float(d)},{int(k)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write ``birth,death,dim`` rows in birth-death coordinates. A float's
+    repr is the shortest string that round-trips binary64."""
+    lines = [f"{b!r},{d!r},{k}" for b, d, k in _to_rows(diagram)]
+    atomic_write_text(path, "\n".join([CSV_HEADER, *lines]) + "\n")
 
 
-def read_diagram_csv(path, *, metadata: str | None = None) -> PersistenceDiagram:
+def read_diagram_csv(path) -> PersistenceDiagram:
     """Read a ``birth,death,dim`` CSV, converting to tilted form on ingest.
 
     Parse and validation errors name the offending line. Features with
@@ -277,7 +240,7 @@ def read_diagram_csv(path, *, metadata: str | None = None) -> PersistenceDiagram
     if not lines or [f.strip() for f in lines[0].split(",")] != ["birth", "death", "dim"]:
         raise ValidationError(
             f"{path}: line 1: expected header '{CSV_HEADER}'")
-    births, deaths, dims = [], [], []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -290,14 +253,8 @@ def read_diagram_csv(path, *, metadata: str | None = None) -> PersistenceDiagram
             _check_triple(b, d, k)
         except ValueError as exc:  # ValidationError is a ValueError
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        births.append(b)
-        deaths.append(d)
-        dims.append(k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return PersistenceDiagram.from_birth_death(
-            np.asarray(births), np.asarray(deaths),
-            np.asarray(dims, dtype=np.int64), metadata=metadata)
+        rows.append((b, d, k))
+    return _from_rows(rows)
 
 
 def _check_triple(b: float, d: float, k: int) -> None:
@@ -312,20 +269,27 @@ def _check_triple(b: float, d: float, k: int) -> None:
             f"homology dimension must be in 0..{MAX_HOMOLOGY_DIM}, got {k}")
 
 
+def _from_rows(rows: list[tuple[float, float, int]]) -> PersistenceDiagram:
+    """The diagram of checked (birth, death, dim) rows. Infinite deaths are
+    dropped without a warning; their count stays on the diagram."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return PersistenceDiagram.from_birth_death(
+            table[:, 0], table[:, 1], table[:, 2].astype(np.int64))
+
+
 def write_diagram_json(diagram: PersistenceDiagram, path) -> None:
     """Write the JSON form: an array of {birth, death, dim} objects."""
-    records = [
-        {"birth": float(b), "death": float(d), "dim": int(k)}
-        for b, d, k in zip(diagram.births, diagram.deaths, diagram.dims)
-    ]
-    atomic_write_text(path, json.dumps(records, indent=2) + "\n")
+    records = [{"birth": b, "death": d, "dim": k} for b, d, k in _to_rows(diagram)]
+    write_json(path, records)
 
 
-def read_diagram_json(path, *, metadata: str | None = None) -> PersistenceDiagram:
+def read_diagram_json(path) -> PersistenceDiagram:
     records = read_json(path)
     if not isinstance(records, list):
         raise ValidationError(f"{path}: expected a JSON array of features")
-    births, deaths, dims = [], [], []
+    rows = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"birth", "death", "dim"}:
             raise ValidationError(
@@ -336,37 +300,19 @@ def read_diagram_json(path, *, metadata: str | None = None) -> PersistenceDiagra
             _check_triple(b, d, k)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: feature {i}: {exc}") from None
-        births.append(b)
-        deaths.append(d)
-        dims.append(k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return PersistenceDiagram.from_birth_death(
-            np.asarray(births), np.asarray(deaths),
-            np.asarray(dims, dtype=np.int64), metadata=metadata)
+        rows.append((b, d, k))
+    return _from_rows(rows)
 
 
-def write_diagram(diagram: PersistenceDiagram, path, fmt: str = "auto") -> None:
-    """Write CSV or JSON, picked by extension when ``fmt='auto'``."""
-    fmt = _resolve_format(path, fmt)
-    if fmt == "csv":
-        write_diagram_csv(diagram, path)
-    else:
-        write_diagram_json(diagram, path)
+def _is_json(path) -> bool:
+    return str(path).lower().endswith(".json")
 
 
-def read_diagram(path, fmt: str = "auto", *,
-                 metadata: str | None = None) -> PersistenceDiagram:
-    """Read CSV or JSON, picked by extension when ``fmt='auto'``."""
-    fmt = _resolve_format(path, fmt)
-    if fmt == "csv":
-        return read_diagram_csv(path, metadata=metadata)
-    return read_diagram_json(path, metadata=metadata)
+def write_diagram(diagram: PersistenceDiagram, path) -> None:
+    """Write JSON to a ``.json`` path, CSV to any other."""
+    (write_diagram_json if _is_json(path) else write_diagram_csv)(diagram, path)
 
 
-def _resolve_format(path, fmt: str) -> str:
-    if fmt == "auto":
-        fmt = "json" if str(path).lower().endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown diagram format {fmt!r}")
-    return fmt
+def read_diagram(path) -> PersistenceDiagram:
+    """Read JSON from a ``.json`` path, CSV from any other."""
+    return (read_diagram_json if _is_json(path) else read_diagram_csv)(path)

@@ -11,7 +11,6 @@ isotropic covariance: Phi(m1/sqrt(v)) * Phi(m2/sqrt(v)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import atomic_write_text, field_errors, read_json, stable_sum
+from ._util import field_errors, from_json, stable_sum, write_json
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -27,6 +26,12 @@ TWO_PI = 2.0 * math.pi
 #: Point-component cells ``mixture_sum`` evaluates at once. It bounds the
 #: kernel's working memory whatever the number of points and components.
 BLOCK_CELLS = 1 << 16
+
+
+def squared_distance(x, mean) -> np.ndarray:
+    """Squared Euclidean distance over a trailing axis of length 2, added per
+    axis; broadcasts over the leading axes of the arrays ``x`` and ``mean``."""
+    return (x[..., 0] - mean[..., 0]) ** 2 + (x[..., 1] - mean[..., 1]) ** 2
 
 
 def gaussian_density(x, mean, variance):
@@ -38,7 +43,7 @@ def gaussian_density(x, mean, variance):
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
-    sq = np.sum((x - mean) ** 2, axis=-1)
+    sq = squared_distance(x, mean)
     return np.exp(-0.5 * sq / variance) / (TWO_PI * variance)
 
 
@@ -48,19 +53,14 @@ def in_wedge(x) -> np.ndarray:
     return (x[..., 0] >= 0.0) & (x[..., 1] >= 0.0)
 
 
-def restricted_gaussian_density(x, mean, variance):
-    """Wedge-restricted Gaussian: the density above, zero outside the wedge."""
-    return gaussian_density(x, mean, variance) * in_wedge(x)
-
-
 def mixture_sum(points, weights, means, variances) -> np.ndarray:
     """Wedge-restricted sum_k weights[k] N(x; means[k], variances[k] I) at
-    each point x of ``points`` (..., 2); returns shape (...).
+    each point x of ``points`` (..., 2); returns shape (...), a float for (2,).
 
     Points are walked in blocks of about ``BLOCK_CELLS`` point-component
     cells, each evaluated in place. Each term is ``gaussian_density``'s
-    arithmetic, with the squared distance added per axis as the length-2
-    reduction adds it, and each point's terms are added with ``stable_sum``.
+    arithmetic, with ``squared_distance`` formed in place, and each point's
+    terms are added with ``stable_sum``.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.shape[-1:] != (2,):
@@ -80,7 +80,8 @@ def mixture_sum(points, weights, means, variances) -> np.ndarray:
             terms /= norm
             terms *= weights
             out[start:start + step] = stable_sum(terms, axis=-1)
-    return (out * in_wedge(pts)).reshape(x.shape[:-1])
+    out = (out * in_wedge(pts)).reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def wedge_gaussian_mass(mean, variance):
@@ -186,8 +187,7 @@ class GaussianMixtureIntensity:
         Component contributions are accumulated with order-canonicalized
         summation, so the result is invariant under component permutation.
         """
-        out = mixture_sum(x, self.weights, self.means, self.variances)
-        return float(out) if out.ndim == 0 else out
+        return mixture_sum(x, self.weights, self.means, self.variances)
 
     def component_masses(self) -> np.ndarray:
         """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""
@@ -223,12 +223,8 @@ class GaussianMixtureIntensity:
 
 
 def write_mixture_json(mixture: GaussianMixtureIntensity, path) -> None:
-    atomic_write_text(path, json.dumps(mixture.to_list(), indent=2) + "\n")
+    write_json(path, mixture.to_list())
 
 
 def read_mixture_json(path) -> GaussianMixtureIntensity:
-    data = read_json(path)
-    try:
-        return GaussianMixtureIntensity.from_list(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return from_json(path, GaussianMixtureIntensity.from_list)

@@ -110,11 +110,8 @@ class PosteriorIntensity:
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.means = np.asarray(means, dtype=np.float64).reshape(-1, 2)
         self.variances = np.asarray(variances, dtype=np.float64)
-        if len(self.coefficients):
-            self._component_masses = self.coefficients * wedge_gaussian_mass(
-                self.means, self.variances)
-        else:
-            self._component_masses = np.zeros(0)
+        self._component_masses = self.coefficients * wedge_gaussian_mass(
+            self.means, self.variances)
 
     def evaluate(self, x) -> np.ndarray:
         """Posterior intensity at ``x`` (..., 2); zero outside the wedge.
@@ -122,11 +119,9 @@ class PosteriorIntensity:
         Permutation invariant: contributions are summed in canonical order,
         so reordering observed diagrams or points never changes the result.
         """
-        out = (1.0 - self.alpha) * self.prior.evaluate(x)
-        if len(self.coefficients):
-            data = mixture_sum(x, self.coefficients, self.means, self.variances)
-            out = out + (self.alpha / self.observation_count) * data
-        return float(out) if np.ndim(out) == 0 else out
+        data = mixture_sum(x, self.coefficients, self.means, self.variances)
+        return ((1.0 - self.alpha) * self.prior.evaluate(x)
+                + (self.alpha / self.observation_count) * data)
 
     def prior_retention_mass(self) -> float:
         """Mass of the (1 - alpha) * prior term."""
@@ -134,8 +129,6 @@ class PosteriorIntensity:
 
     def data_term_mass(self) -> float:
         """Mass of the observation-driven term, alpha/m * sum C_t Q_t."""
-        if not len(self.coefficients):
-            return 0.0
         return (self.alpha / self.observation_count) * math.fsum(
             self._component_masses)
 

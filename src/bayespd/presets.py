@@ -17,14 +17,13 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._util import as_integer, atomic_write_text, derived_rng, field_errors
+from ._util import as_integer, derived_rng, field_errors, write_json
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
@@ -56,25 +55,23 @@ CASE_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
-def prior_preset(name: str) -> GaussianMixtureIntensity:
+def _lookup(kind: str, presets: dict, name: str):
+    """``presets[name]``; an unknown name is a UsageError listing the names."""
     try:
-        spec = PRIOR_PRESETS[name]
+        return presets[name]
     except KeyError:
-        raise UsageError(
-            f"unknown prior preset {name!r}; available: "
-            f"{', '.join(sorted(PRIOR_PRESETS))}") from None
-    return GaussianMixtureIntensity(
-        [MixtureComponent(w, m, v) for w, m, v in spec])
+        raise UsageError(f"unknown {kind} preset {name!r}; available: "
+                         f"{', '.join(sorted(presets))}") from None
+
+
+def prior_preset(name: str) -> GaussianMixtureIntensity:
+    spec = _lookup("prior", PRIOR_PRESETS, name)
+    return GaussianMixtureIntensity([MixtureComponent(w, m, v) for w, m, v in spec])
 
 
 def case_observation_model(name: str) -> tuple[ObservationModel, float]:
     """The observation model and circle noise variance of a named case."""
-    try:
-        lv, clutter_var, alpha, noise_var = CASE_PRESETS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown case preset {name!r}; available: "
-            f"{', '.join(sorted(CASE_PRESETS))}") from None
+    lv, clutter_var, alpha, noise_var = _lookup("case", CASE_PRESETS, name)
     clutter = GaussianMixtureIntensity(
         [MixtureComponent(1.0, (0.5, 0.0), clutter_var)])
     return ObservationModel(alpha, lv, clutter), noise_var
@@ -105,6 +102,8 @@ class ExperimentConfig:
             raise ValidationError(
                 f"experiment kind must be 'circle-posterior' or 'lattice-cv', "
                 f"got {self.kind!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "circle-posterior":
             if self.prior is None or self.observation is None:
                 raise ValidationError(
@@ -115,8 +114,28 @@ class ExperimentConfig:
             if self.circle_noise_variance < 0:
                 raise ValidationError("circle_noise_variance must be >= 0")
         else:
+            # the run's own specs check their fields before anything is written
+            self.lattice_spec("bcc")
+            self.cv_configs()
             if self.n_per_class < self.folds:
                 raise ValidationError("n_per_class must be >= folds")
+
+    def lattice_spec(self, structure: str) -> LatticeSpec:
+        """The spec every ``structure`` cloud of the study is sampled from."""
+        return LatticeSpec(structure=structure, cells=self.lattice_cells,
+                           lattice_constant=self.lattice_constant,
+                           retention=self.lattice_retention)
+
+    def cv_configs(self) -> dict[str, CrossValidationConfig]:
+        """The study's cross-validation under each of its priors, by name."""
+        observation = self.observation or aptlike_observation_model()
+        return {name: CrossValidationConfig(observation=observation, prior=prior,
+                                            folds=self.folds, rng_seed=self.seed,
+                                            labels=("bcc", "fcc"))
+                for name, prior in (
+                    ("kmeans", PriorSpec(kind="kmeans", k=3, variance=2.0, weight=1.0)),
+                    ("flat", PriorSpec(kind="flat", mean=(1.0, 1.0), variance=20.0,
+                                       weight=1.0)))}
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "kind": self.kind, "seed": self.seed}
@@ -147,8 +166,8 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
         kind = data.get("kind")
-        name = data.get("name", "custom")
         seed = as_integer(data.get("seed", 7), "seed")
+        fields = {}
         if kind == "circle-posterior":
             required = {"kind", "prior", "observation", "data"}
             unknown = set(data) - required - {"name", "seed", "grid"}
@@ -159,8 +178,7 @@ class ExperimentConfig:
             grid_spec = data.get("grid", [0.0, 3.0, 0.0, 3.0, 200, 200])
             if len(grid_spec) != 6:
                 raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
-            return cls(
-                name=name, kind=kind, seed=seed,
+            fields = dict(
                 prior=GaussianMixtureIntensity.from_list(data["prior"]),
                 observation=ObservationModel.from_dict(data["observation"]),
                 circle_n=as_integer(data["data"].get("n", 50), "data.n"),
@@ -168,11 +186,10 @@ class ExperimentConfig:
                 grid=Grid(*[float(v) for v in grid_spec[:4]],
                           as_integer(grid_spec[4], "grid nx"),
                           as_integer(grid_spec[5], "grid ny")))
-        if kind == "lattice-cv":
+        elif kind == "lattice-cv":
             lattice = data.get("lattice", {})
             observation = data.get("observation")
-            return cls(
-                name=name, kind=kind, seed=seed,
+            fields = dict(
                 observation=ObservationModel.from_dict(observation)
                 if observation else None,
                 n_per_class=as_integer(data.get("n_per_class", 200), "n_per_class"),
@@ -180,9 +197,7 @@ class ExperimentConfig:
                 lattice_constant=float(lattice.get("lattice_constant", 2.0)),
                 lattice_retention=float(lattice.get("retention", 0.35)),
                 folds=as_integer(data.get("folds", 10), "folds"))
-        raise ValidationError(
-            f"experiment kind must be 'circle-posterior' or 'lattice-cv', "
-            f"got {kind!r}")
+        return cls(name=data.get("name", "custom"), kind=kind, seed=seed, **fields)
 
 
 def aptlike_observation_model() -> ObservationModel:
@@ -209,22 +224,15 @@ def experiment_presets() -> dict[str, ExperimentConfig]:
 
 
 def experiment_preset(name: str) -> ExperimentConfig:
-    presets = experiment_presets()
-    if name not in presets:
-        raise UsageError(
-            f"unknown experiment preset {name!r}; available: "
-            f"{', '.join(sorted(presets))}")
-    return presets[name]
+    return _lookup("experiment", experiment_presets(), name)
 
 
 # -- runner -------------------------------------------------------------------
 
-def h1_diagram(cloud, simplex_budget: int | None = None):
+def h1_diagram(cloud):
     """H1 rips diagram of a cloud, filtered at its diameter so every loop
     closes before truncation."""
     params = FiltrationParams(max_homology_dim=1, max_radius=cloud.diameter())
-    if simplex_budget is not None:
-        params = replace(params, simplex_budget=simplex_budget)
     with warnings.catch_warnings():
         # the lone essential H0 component is structural at this radius
         warnings.filterwarnings("ignore", message=".*essential class.*")
@@ -250,7 +258,7 @@ def _run_circle_posterior(config: ExperimentConfig, outdir: Path) -> dict:
     write_diagram_csv(observed, outdir / "observed_diagram.csv")
     write_grid_csv(outdir / "posterior_grid.csv", config.grid, values)
 
-    manifest = {
+    return {
         "config": config.to_dict(),
         "outputs": {
             "point_cloud": "point_cloud.csv",
@@ -262,19 +270,15 @@ def _run_circle_posterior(config: ExperimentConfig, outdir: Path) -> dict:
         "posterior_argmax": grid_argmax(config.grid, values, "scaled_value"),
         "masses": mass_summary(posterior),
     }
-    return manifest
 
 
 def _run_lattice_cv(config: ExperimentConfig, outdir: Path) -> dict:
-    observation = config.observation or aptlike_observation_model()
     diagrams_dir = outdir / "diagrams"
     diagrams_dir.mkdir(parents=True, exist_ok=True)
 
     populations: dict[str, list] = {}
     for class_index, structure in enumerate(("bcc", "fcc")):
-        spec = LatticeSpec(structure=structure, cells=config.lattice_cells,
-                           lattice_constant=config.lattice_constant,
-                           retention=config.lattice_retention)
+        spec = config.lattice_spec(structure)
         diagrams = []
         for i in range(config.n_per_class):
             cloud = sample_lattice(spec, derived_rng(config.seed, class_index, i))
@@ -285,19 +289,12 @@ def _run_lattice_cv(config: ExperimentConfig, outdir: Path) -> dict:
         populations[structure] = diagrams
 
     reports = {}
-    for prior_name, prior_spec in (
-            ("kmeans", PriorSpec(kind="kmeans", k=3, variance=2.0, weight=1.0)),
-            ("flat", PriorSpec(kind="flat", mean=(1.0, 1.0), variance=20.0,
-                               weight=1.0))):
-        cv_config = CrossValidationConfig(
-            observation=observation, prior=prior_spec, folds=config.folds,
-            rng_seed=config.seed, labels=("bcc", "fcc"))
-        report = cross_validate(populations["bcc"], populations["fcc"],
-                                cv_config)
+    for prior_name, cv_config in config.cv_configs().items():
+        report = cross_validate(populations["bcc"], populations["fcc"], cv_config)
         report.write_json(outdir / f"cv_{prior_name}.json")
         reports[prior_name] = report
 
-    manifest = {
+    return {
         "config": config.to_dict(),
         "outputs": {
             "diagrams_dir": "diagrams",
@@ -307,13 +304,10 @@ def _run_lattice_cv(config: ExperimentConfig, outdir: Path) -> dict:
             name: {
                 "mean_auc": rep.auc,
                 "fold_aucs": list(rep.fold_aucs),
-                "bootstrap": {"p5": rep.bootstrap_summary[0],
-                              "mean": rep.bootstrap_summary[1],
-                              "p95": rep.bootstrap_summary[2]},
+                "bootstrap": rep.bootstrap_percentiles,
             } for name, rep in reports.items()
         },
     }
-    return manifest
 
 
 def run_experiment(config: ExperimentConfig, outdir,
@@ -329,6 +323,5 @@ def run_experiment(config: ExperimentConfig, outdir,
         manifest = _run_circle_posterior(config, outdir)
     else:
         manifest = _run_lattice_cv(config, outdir)
-    atomic_write_text(outdir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(outdir / "manifest.json", manifest, sort_keys=True)
     return manifest

@@ -50,10 +50,6 @@ class PointCloud:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def diameter(self) -> float:
         return float(np.max(pdist(self.points), initial=0.0))
 

@@ -29,14 +29,6 @@ MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
-class GenerativeModel:
-    """Latent prior plus the corruption applied to each latent diagram."""
-
-    latent_prior: GaussianMixtureIntensity
-    observation: ObservationModel
-
-
-@dataclass(frozen=True)
 class LatticeSpec:
     """Synthetic crystal-lattice cloud parameters.
 
@@ -105,8 +97,6 @@ def _sample_marks(rng: np.random.Generator, centers: np.ndarray,
     Centers lie in the wedge (diagram invariant), so per-point acceptance is
     at least 0.25 and the proposal cap is effectively unreachable.
     """
-    if len(centers) == 0:
-        return np.zeros((0, 2))
     sd = math.sqrt(variance)
     out = np.empty_like(centers)
     pending = np.arange(len(centers))
@@ -134,36 +124,30 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
     rng = as_generator(rng_seed)
     masses = intensity.component_masses()
     total = math.fsum(masses)
-    if total == 0.0:
-        return PersistenceDiagram.empty()
-    n = int(rng.poisson(total))
+    n = int(rng.poisson(total))  # Poisson(0) is 0 and draws nothing
     if n == 0:
         return PersistenceDiagram.empty()
     which = rng.choice(len(masses), size=n, p=masses / total)
     counts = np.bincount(which, minlength=len(masses))
     pieces = []
     for i, c in enumerate(counts):
-        if c:
-            pieces.append(_sample_wedge_gaussian(
-                rng, intensity.means[i], intensity.variances[i], int(c)))
+        pieces.append(_sample_wedge_gaussian(
+            rng, intensity.means[i], intensity.variances[i], int(c)))
     pts = np.concatenate(pieces)
     return PersistenceDiagram.from_tilted(
         pts[:, 0], pts[:, 1], np.full(n, homology_dim, dtype=np.int64))
 
 
-def sample_observation(model, latent: PersistenceDiagram, rng_seed, *,
-                       homology_dim: int | None = None) -> PersistenceDiagram:
+def sample_observation(model: ObservationModel, latent: PersistenceDiagram,
+                       rng_seed, *, homology_dim: int | None = None) -> PersistenceDiagram:
     """Corrupt a latent diagram: alpha-thinning, Gaussian marks, clutter.
 
-    ``model`` may be a GenerativeModel or a bare ObservationModel. Each
-    retained latent point emits one mark from the wedge-truncated Gaussian
-    centered at it; an independent clutter diagram is superposed.
+    Each retained latent point emits one mark from the wedge-truncated
+    Gaussian centered at it; an independent clutter diagram is superposed.
     """
-    if isinstance(model, GenerativeModel):
-        model = model.observation
     if not isinstance(model, ObservationModel):
         raise ValidationError(
-            f"expected ObservationModel or GenerativeModel, got {type(model).__name__}")
+            f"expected ObservationModel, got {type(model).__name__}")
     rng = as_generator(rng_seed)
 
     if homology_dim is None:

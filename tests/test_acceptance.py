@@ -293,8 +293,8 @@ def test_criterion_08_lattice_classification(tmp_path):
 
 
 def test_criterion_09_bootstrap_degenerate_exactness():
-    assert bootstrap_auc([0.75, 0.75, 0.75], 2000, 9) == (0.75, 0.75, 0.75)
-    assert bootstrap_auc([0.941] * 5, 2000, 9) == (0.941, 0.941, 0.941)
+    assert bootstrap_auc([0.75, 0.75, 0.75], rng_seed=9) == (0.75, 0.75, 0.75)
+    assert bootstrap_auc([0.941] * 5, rng_seed=9) == (0.941, 0.941, 0.941)
     print("ACCEPTANCE PASS: 9 bootstrap on constant folds returns the "
           "constant exactly")
 

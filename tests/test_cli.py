@@ -334,8 +334,16 @@ CIRCLE_CONFIG = {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],
     (dict(CIRCLE_CONFIG, data={"n": 30.5}), "data.n"),
     (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50.5, 50]), "grid nx"),
     (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50, 50.5]), "grid ny"),
+    ({"kind": "lattice-cv", "seed": "3", "n_per_class": 20}, "seed"),
+    ({"kind": "lattice-cv", "n_per_class": "20"}, "n_per_class"),
+    ({"kind": "lattice-cv", "lattice": {"cells": True}}, "lattice.cells"),
+    (dict(CIRCLE_CONFIG, data={"n": "30"}), "data.n"),
+    (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, True, 50]), "grid nx"),
+    ([{"birth": 0.0, "death": 1.0, "dim": "1"}], "homology dimension"),
+    ([{"birth": 0.0, "death": 1.0, "dim": True}], "homology dimension"),
 ], ids=["seed", "n_per_class", "folds", "lattice-cells", "circle-n", "grid-nx",
-        "grid-ny"])
+        "grid-ny", "seed-string", "n_per_class-string", "lattice-cells-bool",
+        "circle-n-string", "grid-nx-bool", "dim-string", "dim-bool"])
 def test_config_validate_rejects_fractional_integer_fields(tmp_path, capsys,
                                                            content, field):
     path = tmp_path / "fractional.json"
@@ -360,4 +368,50 @@ def test_experiment_config_errors_name_the_path(tmp_path, capsys):
     assert main(["experiment", "--config", str(path), "--outdir",
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: {path}: experiment config: invalid literal for int()")
+        f"error: {path}: experiment config: seed must be an integer, got 'x'")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "circle", "--seed", "-1", "--out", "{out}/c.csv"], 1),
+    (["simulate", "lattice", "--type", "bcc", "--seed", "-1", "--out",
+      "{out}/c.csv"], 1),
+    (["simulate", "diagram", "--prior", "informative", "--model", "{config}",
+      "--seed", "-2", "--out", "{out}/d.csv"], 1),
+    (["classify", "--class1-dir", "{out}/a", "--class2-dir", "{out}/b",
+      "--seed", "-3", "--report", "{out}/r.json"], 1),
+    (["experiment", "--preset", "case1-informative", "--seed", "-1",
+      "--outdir", "{out}"], 1),
+    (["experiment", "--config", "{config}", "--outdir", "{out}"], 2),
+    (["config-validate", "{config}"], 2),
+], ids=["simulate-circle", "simulate-lattice", "simulate-diagram", "classify",
+        "experiment-preset", "experiment-config", "config-validate"])
+def test_negative_seeds_are_rejected_up_front(tmp_path, capsys, argv, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "lattice-cv", "seed": -5,
+                                  "n_per_class": 4, "folds": 2}))
+    out = tmp_path / "out"
+    assert main([a.format(out=out, config=config) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -" in err
+    if code == 2:
+        assert err.startswith(f"error: {config}: seed must be >= 0, got -5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    {"folds": 1},
+    {"folds": True},
+    {"lattice": {"cells": 0}},
+    {"lattice": {"retention": 2.0}},
+    {"lattice": {"lattice_constant": -1}},
+], ids=["folds-1", "folds-true", "cells-0", "retention-2", "lattice-constant-negative"])
+def test_lattice_configs_the_run_rejects_fail_validation(tmp_path, capsys, content):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"kind": "lattice-cv", "n_per_class": 4, "folds": 2,
+                                **content}))
+    out = tmp_path / "out"
+    for argv in (["config-validate", str(path)],
+                 ["experiment", "--config", str(path), "--outdir", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()

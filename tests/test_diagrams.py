@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from bayespd import (PersistenceDiagram, PersistenceFeature, ValidationError,
-                     read_diagram, read_diagram_csv, read_diagram_json, tilt,
-                     untilt, write_diagram, write_diagram_csv,
-                     write_diagram_json)
+from bayespd import (PersistenceDiagram, ValidationError, read_diagram,
+                     read_diagram_csv, read_diagram_json, tilt, untilt,
+                     write_diagram, write_diagram_csv, write_diagram_json)
 
 
 def random_diagram(rng, n=20):
@@ -21,7 +20,6 @@ def test_persistences_derived_from_deaths():
     np.testing.assert_array_equal(d.persistences, d.deaths - d.births)
     assert len(d) == 2
     np.testing.assert_array_equal(d.tilted_points, [[0.5, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(d.birth_death_points, [[0.5, 1.5], [1.0, 1.0]])
 
 
 def test_round_half_even_tie_keeps_death_exact():
@@ -78,24 +76,12 @@ def test_infinite_deaths_dropped_with_counter():
 
 
 def test_restrict_and_homology_dims():
-    d = PersistenceDiagram([0, 1, 2], [1, 2, 3], [0, 1, 1], metadata="src")
+    d = PersistenceDiagram([0, 1, 2], [1, 2, 3], [0, 1, 1])
     h1 = d.restrict(1)
     assert len(h1) == 2
     np.testing.assert_array_equal(h1.dims, [1, 1])
-    assert h1.metadata == "src"
     np.testing.assert_array_equal(d.homology_dims, [0, 1])
     assert len(d.restrict(2)) == 0
-
-
-def test_iteration_yields_features():
-    d = PersistenceDiagram([0.5], [1.5], [1])
-    (feature,) = list(d)
-    assert feature == PersistenceFeature(0.5, 1.0, 1, 1.5)
-
-
-def test_feature_fills_death():
-    f = PersistenceFeature(0.25, 0.5, 1)
-    assert f.death == 0.75
 
 
 # -- multiset equality ---------------------------------------------------------
@@ -114,12 +100,6 @@ def test_equality_counts_multiplicity():
     b = PersistenceDiagram([0], [1], [1])
     assert a != b
     assert a != PersistenceDiagram([0, 0], [1, 1], [1, 0])
-
-
-def test_equality_ignores_metadata():
-    a = PersistenceDiagram([0], [1], [1], metadata="a")
-    b = PersistenceDiagram([0], [1], [1], metadata="b")
-    assert a == b
 
 
 # -- tilt / untilt array maps --------------------------------------------------
@@ -179,12 +159,10 @@ def test_auto_format_by_extension(tmp_path):
     for name in ("d.csv", "d.json"):
         write_diagram(d, tmp_path / name)
         assert read_diagram(tmp_path / name) == d
-    # unknown extensions default to CSV; explicit bad formats are rejected
+    # unknown extensions default to CSV
     write_diagram(d, tmp_path / "d.txt")
     assert read_diagram(tmp_path / "d.txt") == d
     assert (tmp_path / "d.txt").read_text().startswith("birth,death,dim")
-    with pytest.raises(ValidationError, match="format"):
-        write_diagram(d, tmp_path / "d.csv", fmt="xml")
 
 
 def test_csv_reader_reports_line_numbers(tmp_path):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from bayespd import (GaussianMixtureIntensity, Grid, MixtureComponent,
                      PosteriorIntensity, ValidationError, gaussian_density,
                      gaussian_product, in_wedge, read_mixture_json,
-                     restricted_gaussian_density, wedge_gaussian_mass,
-                     write_mixture_json)
+                     wedge_gaussian_mass, write_mixture_json)
 from bayespd.intensity import BLOCK_CELLS
 
 
@@ -54,12 +53,6 @@ def test_in_wedge_includes_boundary():
                     [0.5, -1e-300], [1.0, 1.0]])
     np.testing.assert_array_equal(in_wedge(pts),
                                   [True, True, True, False, False, True])
-
-
-def test_restricted_density_zero_outside_wedge():
-    assert restricted_gaussian_density((-0.1, 0.5), (0.0, 0.5), 1.0) == 0.0
-    inside = restricted_gaussian_density((0.0, 0.5), (0.0, 0.5), 1.0)
-    assert inside == gaussian_density((0.0, 0.5), (0.0, 0.5), 1.0)
 
 
 # -- wedge mass ----------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_point_cloud_validation():
         PointCloud(np.zeros(3))
     cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert cloud.diameter() == 5.0
-    assert cloud.n_points == 2 and cloud.dim == 2
+    assert cloud.n_points == 2
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 1.0
 

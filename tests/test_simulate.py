@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bayespd import (GaussianMixtureIntensity, GenerativeModel, LatticeSpec,
-                     MixtureComponent, ObservationModel, PersistenceDiagram,
-                     SamplingError, ValidationError, lattice_sites,
-                     sample_lattice, sample_noisy_circle, sample_observation,
-                     sample_poisson_pp)
+from bayespd import (GaussianMixtureIntensity, LatticeSpec, MixtureComponent,
+                     ObservationModel, PersistenceDiagram, SamplingError,
+                     ValidationError, lattice_sites, sample_lattice,
+                     sample_noisy_circle, sample_observation, sample_poisson_pp)
 from bayespd._util import derived_rng
 
 WEDGE_MIXTURE = GaussianMixtureIntensity([
@@ -115,14 +114,9 @@ def test_observation_homology_dim_inherited():
     assert len(empty) == 0 and empty.homology_dims.tolist() == []
 
 
-def test_observation_accepts_generative_model():
-    gm = GenerativeModel(WEDGE_MIXTURE, ObservationModel(1.0, 1e-6))
-    latent = latent_diagram(4)
-    a = sample_observation(gm, latent, 8)
-    b = sample_observation(gm.observation, latent, 8)
-    assert a == b
+def test_observation_rejects_non_model():
     with pytest.raises(ValidationError, match="ObservationModel"):
-        sample_observation(WEDGE_MIXTURE, latent, 8)
+        sample_observation(WEDGE_MIXTURE, latent_diagram(4), 8)
 
 
 # -- point clouds --------------------------------------------------------------
