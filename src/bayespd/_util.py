@@ -82,6 +82,14 @@ def as_integer(value, what: str) -> int:
     return int(value)
 
 
+def as_finite(value, what: str) -> float:
+    """``float(value)``, refusing NaN and +-inf."""
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {number!r}")
+    return number
+
+
 @contextmanager
 def field_errors(what: str):
     """Turn the TypeError, ValueError, AttributeError or OverflowError of a

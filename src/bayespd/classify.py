@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_generator, derived_rng, write_json
+from ._util import as_finite, as_generator, derived_rng, write_json
 from .diagrams import PersistenceDiagram
 from .errors import ValidationError
 from .intensity import GaussianMixtureIntensity, MixtureComponent, squared_distance
@@ -128,7 +128,7 @@ def bayes_factor(model1: ClassModel, model2: ClassModel,
     equal prior masses they cancel exactly. Assigns ``model1.label`` when
     ``log_bf > log(threshold)``, else ``model2.label``.
     """
-    if threshold <= 0:
+    if as_finite(threshold, "threshold") <= 0:
         raise ValidationError("threshold must be > 0")
     m1, d1 = _log_density_parts(model1.posterior, diagram, mode)
     m2, d2 = _log_density_parts(model2.posterior, diagram, mode)
@@ -141,44 +141,66 @@ def bayes_factor(model1: ClassModel, model2: ClassModel,
 
 # -- k-means prior elicitation ----------------------------------------------
 
-def _kmeans_once(points: np.ndarray, k: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One k-means run: k-means++ seeding then Lloyd to convergence."""
+def _kmeans_restarts(points: np.ndarray, k: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Every restart's centers, shape (k, 2, restarts), and inertias. The
+    k-means++ seedings are drawn in turn; Lloyd draws no random numbers, so
+    all restarts then step together, each leaving at the step its labels stop
+    changing. A cluster mean adds its members in point order, as
+    ``points[members].mean(axis=0)`` does: the masked sum keeps the coordinate
+    axis inside, or numpy would sum a lone restart's column pairwise."""
     n = len(points)
-    centers = np.empty((k, 2))
-    centers[0] = points[rng.integers(n)]
-    d2 = squared_distance(points, centers[0])
-    for j in range(1, k):
-        total = math.fsum(d2)
-        if total <= 0.0:
-            centers[j] = points[rng.integers(n)]
-        else:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, squared_distance(points, centers[j]))
+    centers = np.empty((k, 2, KMEANS_RESTARTS))
+    for seeds in np.moveaxis(centers, 2, 0):  # views of each restart's centers
+        seeds[0] = points[rng.integers(n)]
+        d2 = squared_distance(points, seeds[0])
+        for j in range(1, k):
+            total = math.fsum(d2)
+            if total <= 0.0:
+                seeds[j] = points[rng.integers(n)]
+            else:
+                seeds[j] = points[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, squared_distance(points, seeds[j]))
 
-    assign = np.zeros(n, dtype=np.int64)
+    def nearest(c):  # first closest of the (k, 2, L) centers, distance to it
+        c = np.moveaxis(c, 1, -1)
+        d2 = squared_distance(points[:, None], c[0])
+        labels = np.zeros(d2.shape, dtype=np.int64)
+        for j in range(1, k):
+            dj = squared_distance(points[:, None], c[j])
+            labels[dj < d2] = j
+            np.minimum(d2, dj, out=d2)
+        return labels, d2
+
+    live = np.arange(KMEANS_RESTARTS)
+    assign = np.zeros((n, KMEANS_RESTARTS), dtype=np.int64)
     for _ in range(300):
-        dists = squared_distance(points[:, None], centers)
-        new_assign = np.argmin(dists, axis=1)
+        c = centers[:, :, live]
+        new_assign, d2 = nearest(c)
         for j in range(k):
             members = new_assign == j
-            if np.any(members):
-                centers[j] = points[members].mean(axis=0)
-            else:
+            counts = np.count_nonzero(members, axis=0)
+            # -0.0 is the additive identity, so non-members change no bit
+            sums = np.where(members[:, None], points[:, :, None], -0.0).sum(axis=0)
+            np.divide(sums, counts, out=c[j], where=counts > 0)
+            for r in np.flatnonzero(counts == 0):
                 # re-seed an empty cluster at the point farthest from its center
-                worst = int(np.argmax(np.min(dists, axis=1)))
-                centers[j] = points[worst]
-                new_assign[worst] = j
-        if np.array_equal(new_assign, assign):
+                worst = int(np.argmax(d2[:, r]))
+                c[j, :, r] = points[worst]
+                new_assign[worst, r] = j
+        moved = np.any(new_assign != assign, axis=0)
+        centers[:, :, live] = c
+        live, assign = live[moved], new_assign[:, moved]
+        if not len(live):
             break
-        assign = new_assign
-    inertia = float(np.sum(np.min(squared_distance(points[:, None], centers), axis=1)))
-    return centers, inertia
+    # each restart's inertia is a pairwise sum over a contiguous row
+    inertias = np.sum(np.ascontiguousarray(nearest(centers)[1].T), axis=1)
+    return centers, inertias
 
 
 def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
-    """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, best inertia, centers
-    sorted lexicographically so the output never depends on restart order."""
+    """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, the first of least
+    inertia wins, its centers sorted lexicographically."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -186,14 +208,9 @@ def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     if k > n_distinct:
         raise ValidationError(
             f"k={k} exceeds the {n_distinct} distinct feature location(s)")
-    rng = as_generator(rng_seed)
-    best, best_inertia = None, math.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers, inertia = _kmeans_once(points, k, rng)
-        if inertia < best_inertia:
-            best, best_inertia = centers, inertia
-    order = np.lexsort((best[:, 1], best[:, 0]))
-    return best[order]
+    centers, inertias = _kmeans_restarts(points, k, as_generator(rng_seed))
+    best = centers[:, :, int(np.argmin(inertias))]
+    return best[np.lexsort((best[:, 1], best[:, 0]))]
 
 
 def kmeans_prior(training: Sequence[PersistenceDiagram], k: int,
@@ -201,14 +218,15 @@ def kmeans_prior(training: Sequence[PersistenceDiagram], k: int,
                  rng_seed=0) -> GaussianMixtureIntensity:
     """Elicit a prior by clustering pooled training features.
 
-    All tilted features of the training diagrams are pooled and clustered;
-    each cluster center becomes a mixture component with the given weight
-    and variance.
+    All tilted features of the training diagrams are pooled and clustered
+    into ``k`` centers, or one per location when fewer are distinct; each
+    center becomes a mixture component with the given weight and variance.
     """
     pooled = [d.tilted_points for d in training if len(d)]
     if not pooled:
         raise ValidationError("no features in the training diagrams")
-    centers = kmeans(np.concatenate(pooled), k, rng_seed)
+    pooled = np.concatenate(pooled)
+    centers = kmeans(pooled, min(k, len(np.unique(pooled, axis=0))), rng_seed)
     return GaussianMixtureIntensity(
         [MixtureComponent(weight, tuple(c), variance) for c in centers])
 
@@ -283,6 +301,10 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in ("kmeans", "flat"):
             raise ValidationError(f"prior kind must be 'kmeans' or 'flat', got {self.kind!r}")
+        as_finite(self.variance, "variance")
+        as_finite(self.weight, "weight")
+        for coordinate in self.mean:
+            as_finite(coordinate, "mean")
         if self.variance <= 0 or self.weight <= 0:
             raise ValidationError("variance and weight must be > 0")
 
@@ -309,7 +331,7 @@ class CrossValidationConfig:
         _check_mode(self.mode)
         if self.folds < 2:
             raise ValidationError("folds must be >= 2")
-        if self.threshold <= 0:
+        if as_finite(self.threshold, "threshold") <= 0:
             raise ValidationError("threshold must be > 0")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -108,10 +109,10 @@ def parse_prior_mode(text: str) -> PriorSpec:
                          mean=(float(mean_parts[0]), float(mean_parts[1])),
                          variance=float(params.get("var", 20.0)),
                          weight=float(params.get("weight", 1.0)))
-    except ValueError:
-        raise UsageError(f"--prior-mode: non-numeric parameter in {text!r}") from None
     except ValidationError as exc:
         raise UsageError(f"--prior-mode: {exc}") from None
+    except ValueError:
+        raise UsageError(f"--prior-mode: non-numeric parameter in {text!r}") from None
 
 
 def _resolve_prior(spec: str) -> GaussianMixtureIntensity:
@@ -440,7 +441,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per warning, without the source line it came from
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else 0

@@ -74,18 +74,18 @@ class PersistenceDiagram:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValidationError(
-                f"feature {i}: birth must be finite and >= 0, got {births[i]!r}")
+                f"feature {i}: birth must be finite and >= 0, got {float(births[i])}")
         bad = ~np.isfinite(deaths)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValidationError(
-                f"feature {i}: death must be finite, got {deaths[i]!r} "
+                f"feature {i}: death must be finite, got {float(deaths[i])} "
                 "(drop infinite deaths with from_birth_death)")
         bad = deaths < births
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValidationError(
-                f"feature {i}: death < birth ({deaths[i]!r} < {births[i]!r})")
+                f"feature {i}: death < birth ({float(deaths[i])} < {float(births[i])})")
         bad = (dims < 0) | (dims > MAX_HOMOLOGY_DIM)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -133,7 +133,7 @@ class PersistenceDiagram:
             i = int(np.argmax(bad))
             raise ValidationError(
                 f"feature {i}: persistence must be finite and >= 0, "
-                f"got {persistences[i]!r}")
+                f"got {float(persistences[i])}")
         return cls(births, births + persistences, dims)
 
     @classmethod
@@ -199,7 +199,7 @@ def tilt(birth_death: Sequence) -> np.ndarray:
     if np.any(pts[:, 1] < pts[:, 0]):
         i = int(np.argmax(pts[:, 1] < pts[:, 0]))
         raise ValidationError(
-            f"pair {i}: death < birth ({pts[i, 1]!r} < {pts[i, 0]!r})")
+            f"pair {i}: death < birth ({float(pts[i, 1])} < {float(pts[i, 0])})")
     return np.column_stack([pts[:, 0], pts[:, 1] - pts[:, 0]])
 
 

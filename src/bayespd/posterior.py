@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, field_errors, stable_sum
+from ._util import as_finite, atomic_write_text, field_errors, stable_sum
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, gaussian_density,
@@ -60,7 +60,7 @@ class ObservationModel:
                            float(self.likelihood_variance))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if not self.likelihood_variance > 0:
+        if as_finite(self.likelihood_variance, "likelihood_variance") <= 0:
             raise ValidationError("likelihood_variance must be > 0")
         if not isinstance(self.clutter, GaussianMixtureIntensity):
             raise ValidationError("clutter must be a GaussianMixtureIntensity")
@@ -215,6 +215,8 @@ class Grid:
     ny: int
 
     def __post_init__(self):
+        for extent in (self.x0, self.x1, self.y0, self.y1):
+            as_finite(extent, "grid extents")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValidationError("grid extents must satisfy x1 > x0, y1 > y0")
         if self.nx < 2 or self.ny < 2:

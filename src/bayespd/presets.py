@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import as_integer, derived_rng, field_errors, write_json
+from ._util import as_finite, as_integer, derived_rng, field_errors, write_json
 from .classify import CrossValidationConfig, PriorSpec, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
@@ -111,7 +111,7 @@ class ExperimentConfig:
                     "observation model")
             if self.circle_n < 4:
                 raise ValidationError("circle_n must be >= 4")
-            if self.circle_noise_variance < 0:
+            if as_finite(self.circle_noise_variance, "circle_noise_variance") < 0:
                 raise ValidationError("circle_noise_variance must be >= 0")
         else:
             # the run's own specs check their fields before anything is written

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator
+from ._util import as_finite, as_generator
 from .diagrams import PersistenceDiagram
 from .errors import SamplingError, ValidationError
 from .intensity import GaussianMixtureIntensity, wedge_gaussian_mass
@@ -48,13 +48,13 @@ class LatticeSpec:
                 f"structure must be 'bcc' or 'fcc', got {self.structure!r}")
         if self.cells < 1:
             raise ValidationError("cells must be >= 1")
-        if not self.lattice_constant > 0:
+        if as_finite(self.lattice_constant, "lattice_constant") <= 0:
             raise ValidationError("lattice_constant must be > 0")
         if not 0.0 < self.retention <= 1.0:
             raise ValidationError("retention must be in (0, 1]")
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", 0.05 * self.lattice_constant)
-        elif self.noise_sd < 0:
+        elif as_finite(self.noise_sd, "noise_sd") < 0:
             raise ValidationError("noise_sd must be >= 0")
 
 
@@ -169,7 +169,7 @@ def sample_noisy_circle(n: int = 50, noise_variance: float = 0.01,
     Gaussian noise of the given variance per coordinate."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if noise_variance < 0:
+    if as_finite(noise_variance, "noise_variance") < 0:
         raise ValidationError("noise_variance must be >= 0")
     rng = as_generator(rng_seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)

@@ -13,7 +13,7 @@ from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      cross_validate, kmeans, kmeans_prior,
                      log_poisson_density, roc_curve, sample_poisson_pp)
 from bayespd._util import derived_rng
-from bayespd.classify import _kmeans_once
+from bayespd.classify import KMEANS_RESTARTS, _kmeans_restarts
 
 UNIT_MASS = GaussianMixtureIntensity([MixtureComponent(1.0, (10.0, 10.0), 1.0)])
 
@@ -160,9 +160,10 @@ def test_kmeans_validation():
 
 
 def oracle_kmeans_once(points, k, rng):
-    """k-means++ seeding then Lloyd, with each squared distance summed over
-    an (n, k, 2) difference array: the k-means run before the per-axis
-    ``squared_distance``."""
+    """k-means++ seeding then Lloyd, one restart at a time, with each squared
+    distance summed over an (n, k, 2) difference array. Returns the centers,
+    the inertia, the number of Lloyd steps and the number of empty-cluster
+    re-seeds."""
     n = len(points)
     centers = np.empty((k, 2))
     centers[0] = points[rng.integers(n)]
@@ -176,7 +177,9 @@ def oracle_kmeans_once(points, k, rng):
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
 
     assign = np.zeros(n, dtype=np.int64)
+    steps = reseeds = 0
     for _ in range(300):
+        steps += 1
         dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(dists, axis=1)
         for j in range(k):
@@ -184,6 +187,7 @@ def oracle_kmeans_once(points, k, rng):
             if np.any(members):
                 centers[j] = points[members].mean(axis=0)
             else:
+                reseeds += 1
                 worst = int(np.argmax(np.min(dists, axis=1)))
                 centers[j] = points[worst]
                 new_assign[worst] = j
@@ -192,14 +196,14 @@ def oracle_kmeans_once(points, k, rng):
         assign = new_assign
     inertia = float(np.sum(np.min(
         np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)))
-    return centers, inertia
+    return centers, inertia, steps, reseeds
 
 
 def oracle_kmeans(points, k, seed):
     rng = np.random.default_rng(seed)
     best, best_inertia = None, math.inf
     for _ in range(50):
-        centers, inertia = oracle_kmeans_once(points, k, rng)
+        centers, inertia, _, _ = oracle_kmeans_once(points, k, rng)
         if inertia < best_inertia:
             best, best_inertia = centers, inertia
     return best[np.lexsort((best[:, 1], best[:, 0]))]
@@ -221,14 +225,54 @@ def test_kmeans_matches_oracle_bitwise(data):
     points = np.repeat(np.asarray(distinct), copies, axis=0)
     points = points[data.draw(st.permutations(range(len(points))), label="order")]
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    # one run, so that a restart the best-of-50 would discard still counts
-    centers, inertia = _kmeans_once(points, k, np.random.default_rng(seed))
-    expected, expected_inertia = oracle_kmeans_once(points, k,
-                                                    np.random.default_rng(seed))
-    np.testing.assert_array_equal(centers, expected)
-    assert inertia == expected_inertia
+    assert_restarts_match_oracle(points, k, seed)
     np.testing.assert_array_equal(kmeans(points, k, seed),
                                   oracle_kmeans(points, k, seed))
+
+
+def assert_restarts_match_oracle(points, k, seed):
+    """Every restart, so that one the best-of-50 would discard still counts,
+    against the oracle's restarts in turn on the same generator. Returns
+    each oracle restart's Lloyd steps and its empty-cluster re-seeds."""
+    centers, inertias = _kmeans_restarts(points, k, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    steps, reseeds = [], []
+    for r in range(KMEANS_RESTARTS):
+        expected, expected_inertia, n_steps, n_reseeds = oracle_kmeans_once(
+            points, k, rng)
+        np.testing.assert_array_equal(centers[:, :, r], expected)
+        assert inertias[r] == expected_inertia
+        steps.append(n_steps)
+        reseeds.append(n_reseeds)
+    return steps, reseeds
+
+
+def test_kmeans_last_live_restart_matches_oracle():
+    # several hundred pooled points, and one restart steps on alone at the
+    # end: a sum over a single restart column would turn pairwise
+    rng = np.random.default_rng(0)
+    points = np.abs(np.concatenate([rng.normal(m, 0.6, (150, 2))
+                                    for m in ((1, 1), (3, 1.5), (2, 3))]))
+    steps, _ = assert_restarts_match_oracle(points, 3, 0)
+    assert sorted(steps)[-1] > sorted(steps)[-2]
+
+
+def test_kmeans_empty_cluster_reseed_matches_oracle():
+    # moving the re-seeded point's label changes this set's centers
+    points = np.array([[5, 6], [3, 4], [5, 7], [7, 6], [1, 4], [2, 5], [5, 1],
+                       [1, 0], [1, 5], [1, 2], [3, 2], [1, 1], [1, 2], [2, 4],
+                       [5, 1], [6, 2], [0, 6], [5, 6]], dtype=float)
+    _, reseeds = assert_restarts_match_oracle(points, 5, 138)
+    assert sum(reseeds) > 0
+
+
+def test_kmeans_tied_inertia_keeps_the_first_restart():
+    # both halvings of a square have inertia 1.0; at seed 3 the first
+    # restart to reach it splits left from right, the last top from bottom
+    square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    centers = kmeans(square, 2, 3)
+    np.testing.assert_array_equal(centers, [[0.0, 0.5], [1.0, 0.5]])
+    np.testing.assert_array_equal(centers, oracle_kmeans(square, 2, 3))
 
 
 def test_kmeans_prior_builds_mixture():
@@ -238,8 +282,19 @@ def test_kmeans_prior_builds_mixture():
     prior = kmeans_prior(training, 3, variance=2.0, weight=1.5)
     np.testing.assert_array_equal(prior.means, [[0, 0], [1, 2], [3, 1]])
     assert np.all(prior.variances == 2.0) and np.all(prior.weights == 1.5)
+    # more centers asked for than distinct locations: one per location
+    np.testing.assert_array_equal(kmeans_prior(training, 5, 2.0).means,
+                                  prior.means)
     with pytest.raises(ValidationError, match="no features"):
         kmeans_prior([PersistenceDiagram.empty()], 2, 1.0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"variance": math.nan}, {"weight": math.inf}, {"mean": (1.0, -math.inf)},
+], ids=["variance-nan", "weight-inf", "mean-minus-inf"])
+def test_prior_spec_rejects_non_finite_fields(fields):
+    with pytest.raises(ValidationError, match="must be finite"):
+        PriorSpec("kmeans", **fields)
 
 
 # -- ROC / AUC ---------------------------------------------------------------------
@@ -344,6 +399,21 @@ def test_cross_validate_identical_distributions_near_chance():
     assert 0.2 < report.auc < 0.8
 
 
+def test_cross_validate_kmeans_prior_on_few_distinct_features():
+    # every training fold pools two distinct locations per class, fewer
+    # than the k=3 centers asked for
+    class1 = [diagram_at([(0.5, 1.5), (1.0, 1.0)])] * 4
+    class2 = [diagram_at([(1.5, 0.5), (2.0, 1.0)])] * 4
+    config = CrossValidationConfig(
+        observation=ObservationModel(1.0, 0.05),
+        prior=PriorSpec("kmeans", k=3, variance=0.5), folds=2)
+    report = cross_validate(class1, class2, config)
+    assert report.prior_description == {"kind": "kmeans", "k": 3,
+                                        "variance": 0.5, "weight": 1.0}
+    assert len(report.entries) == 8 and report.n_undecidable == 0
+    assert report.auc == 1.0
+
+
 def test_cross_validate_fold_validation():
     class1, class2 = synthetic_classes(n=3)
     config = CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
@@ -353,6 +423,17 @@ def test_cross_validate_fold_validation():
     with pytest.raises(ValidationError, match="folds"):
         CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
                               prior=PriorSpec("flat"), folds=1)
+
+
+def test_non_finite_threshold_is_rejected():
+    # log(nan) would assign every diagram to the second class
+    with pytest.raises(ValidationError, match="threshold must be finite, got nan"):
+        CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
+                              prior=PriorSpec("flat"), threshold=math.nan)
+    model = ClassModel("a", UNIT_MASS, ObservationModel(1.0, 0.05),
+                       [diagram_at([(10.0, 10.0)])])
+    with pytest.raises(ValidationError, match="threshold must be finite, got inf"):
+        bayes_factor(model, model, diagram_at([(10.0, 10.0)]), threshold=math.inf)
 
 
 def test_report_json_round_trip(tmp_path):

@@ -52,6 +52,10 @@ def test_parse_prior_mode_kmeans():
         parse_prior_mode("kmeans:mean=1,1")
     with pytest.raises(UsageError, match="non-numeric"):
         parse_prior_mode("kmeans:k=lots")
+    with pytest.raises(UsageError, match="--prior-mode: variance must be finite"):
+        parse_prior_mode("kmeans:var=nan")
+    with pytest.raises(UsageError, match="--prior-mode: variance and weight must be > 0"):
+        parse_prior_mode("kmeans:var=-1")
 
 
 def test_parse_prior_mode_flat():
@@ -84,10 +88,11 @@ def test_version_help_and_usage_errors(capsys):
 
 def test_compute_pd(square_csv, tmp_path, capsys):
     out = str(tmp_path / "diagram.csv")
-    with pytest.warns(UserWarning, match="essential"):
-        assert main(["compute-pd", "--input", square_csv,
-                     "--output", out]) == 0
-    assert "H1: 1" in capsys.readouterr().out
+    assert main(["compute-pd", "--input", square_csv, "--output", out]) == 0
+    captured = capsys.readouterr()
+    assert "H1: 1" in captured.out
+    assert captured.err == ("warning: dropping 1 essential class(es) still "
+                            "alive at max_radius=inf\n")
     text = (tmp_path / "diagram.csv").read_text()
     assert "1.4142135623730951" in text  # the square's H1 death
 
@@ -102,8 +107,7 @@ def test_compute_pd(square_csv, tmp_path, capsys):
 
 def test_posterior_command(square_csv, model_json, tmp_path, capsys):
     obs = str(tmp_path / "obs.csv")
-    with pytest.warns(UserWarning, match="essential"):
-        main(["compute-pd", "--input", square_csv, "--output", obs])
+    assert main(["compute-pd", "--input", square_csv, "--output", obs]) == 0
     out = str(tmp_path / "grid.csv")
     summary = str(tmp_path / "summary.json")
     assert main(["posterior", "--prior", "informative", "--model", model_json,
@@ -121,8 +125,7 @@ def test_posterior_command(square_csv, model_json, tmp_path, capsys):
 
 def test_posterior_prior_resolution(square_csv, model_json, tmp_path, capsys):
     obs = str(tmp_path / "obs.csv")
-    with pytest.warns(UserWarning, match="essential"):
-        main(["compute-pd", "--input", square_csv, "--output", obs])
+    assert main(["compute-pd", "--input", square_csv, "--output", obs]) == 0
     out = str(tmp_path / "grid.csv")
 
     prior_path = tmp_path / "prior.json"
@@ -398,13 +401,38 @@ def test_negative_seeds_are_rejected_up_front(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, what", [
+    ("data", "noise_variance", float("nan"), "circle_noise_variance"),
+    ("data", "noise_variance", float("inf"), "circle_noise_variance"),
+    ("observation", "likelihood_variance", float("inf"), "likelihood_variance"),
+    ("grid", 1, float("inf"), "grid extents"),
+], ids=["noise-variance-nan", "noise-variance-inf", "likelihood-variance-inf",
+        "grid-extent-inf"])
+def test_non_finite_circle_fields_fail_validation(tmp_path, capsys, section,
+                                                  key, value, what):
+    path = experiment_config_json(tmp_path)
+    config = json.loads(open(path).read())
+    config[section][key] = value
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    out = tmp_path / "out"
+    for argv in (["config-validate", path],
+                 ["experiment", "--config", path, "--outdir", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {what} must be finite, got {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     {"folds": 1},
     {"folds": True},
     {"lattice": {"cells": 0}},
     {"lattice": {"retention": 2.0}},
     {"lattice": {"lattice_constant": -1}},
-], ids=["folds-1", "folds-true", "cells-0", "retention-2", "lattice-constant-negative"])
+    {"lattice": {"lattice_constant": float("inf")}},
+], ids=["folds-1", "folds-true", "cells-0", "retention-2", "lattice-constant-negative",
+        "lattice-constant-inf"])
 def test_lattice_configs_the_run_rejects_fail_validation(tmp_path, capsys, content):
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps({"kind": "lattice-cv", "n_per_class": 4, "folds": 2,

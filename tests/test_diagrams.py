@@ -50,20 +50,24 @@ def test_arrays_are_frozen_and_decoupled():
 
 
 def test_validation_errors():
-    with pytest.raises(ValidationError, match="birth"):
-        PersistenceDiagram([-0.1], [1.0], [0])
-    with pytest.raises(ValidationError, match="death"):
-        PersistenceDiagram([0.0], [np.nan], [0])
-    with pytest.raises(ValidationError, match="death < birth"):
-        PersistenceDiagram([1.0], [0.5], [0])
+    # values print as plain floats, as the readers print them
+    for births, deaths, message in (
+            ([-0.1], [1.0], "feature 0: birth must be finite and >= 0, got -0.1"),
+            ([0.0], [np.nan], "feature 0: death must be finite, got nan "
+                              "(drop infinite deaths with from_birth_death)"),
+            ([1.0], [0.5], "feature 0: death < birth (0.5 < 1.0)")):
+        with pytest.raises(ValidationError) as info:
+            PersistenceDiagram(births, deaths, [0])
+        assert str(info.value) == message
     with pytest.raises(ValidationError, match="dimension"):
         PersistenceDiagram([0.0], [1.0], [3])
     with pytest.raises(ValidationError, match="equal length"):
         PersistenceDiagram([0.0, 1.0], [1.0], [0])
     with pytest.raises(ValidationError, match="integer"):
         PersistenceDiagram([0.0], [1.0], [0.5])
-    with pytest.raises(ValidationError, match="persistence"):
+    with pytest.raises(ValidationError) as info:
         PersistenceDiagram.from_tilted([0.0], [-1e-9], [0])
+    assert str(info.value) == "feature 0: persistence must be finite and >= 0, got -1e-09"
 
 
 def test_infinite_deaths_dropped_with_counter():
@@ -119,8 +123,9 @@ def test_tilt_untilt_random_round_trip():
 
 
 def test_tilt_rejects_below_diagonal():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         tilt([[1.0, 0.5]])
+    assert str(info.value) == "pair 0: death < birth (0.5 < 1.0)"
     with pytest.raises(ValidationError):
         untilt([[-0.1, 0.0]])
 

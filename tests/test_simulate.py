@@ -135,6 +135,8 @@ def test_noisy_circle_shape_and_radius():
         sample_noisy_circle(0)
     with pytest.raises(ValidationError):
         sample_noisy_circle(10, -0.1)
+    with pytest.raises(ValidationError, match="noise_variance must be finite, got nan"):
+        sample_noisy_circle(10, float("nan"))
 
 
 def test_lattice_site_counts():
@@ -188,3 +190,5 @@ def test_lattice_spec_validation():
         LatticeSpec("bcc", retention=0.0)
     with pytest.raises(ValidationError):
         LatticeSpec("bcc", noise_sd=-1.0)
+    with pytest.raises(ValidationError, match="noise_sd must be finite, got nan"):
+        LatticeSpec("bcc", noise_sd=float("nan"))
