@@ -1,5 +1,5 @@
-"""Small shared helpers: RNG plumbing, stable summation, JSON reading and
-field conversion, atomic file writes of text and JSON."""
+"""Small shared helpers: RNG plumbing, JSON reading and field conversion,
+atomic file writes of text, CSV and JSON."""
 
 from __future__ import annotations
 
@@ -34,17 +34,6 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     so parallel or reordered subtasks cannot perturb each other's draws.
     """
     return np.random.default_rng([int(seed), *[int(p) for p in path]])
-
-
-def stable_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along ``axis`` after sorting, making the result independent of
-    the order in which contributions were assembled.
-
-    Sorting canonicalizes the operand order and numpy then applies pairwise
-    summation, so permuting the inputs can never change the rounded result.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
 def read_json(path: str | os.PathLike):
@@ -120,6 +109,14 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_csv(path: str | os.PathLike, rows, *, header: str | None = None) -> None:
+    """Write ``rows`` of Python floats and ints atomically as CSV lines, after
+    ``header`` when given. A float's ``repr`` is the shortest string that
+    round-trips binary64."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    atomic_write_text(path, "\n".join([header, *lines] if header else lines) + "\n")
 
 
 def write_json(path: str | os.PathLike, data, *, sort_keys: bool = False) -> None:

@@ -226,7 +226,10 @@ def kmeans_prior(training: Sequence[PersistenceDiagram], k: int,
     if not pooled:
         raise ValidationError("no features in the training diagrams")
     pooled = np.concatenate(pooled)
-    centers = kmeans(pooled, min(k, len(np.unique(pooled, axis=0))), rng_seed)
+    try:  # sorts the points once unless there are fewer than k locations
+        centers = kmeans(pooled, k, rng_seed)
+    except ValidationError:
+        centers = kmeans(pooled, min(k, len(np.unique(pooled, axis=0))), rng_seed)
     return GaussianMixtureIntensity(
         [MixtureComponent(weight, tuple(c), variance) for c in centers])
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_integer, atomic_write_text, read_json, write_json
+from ._util import as_integer, read_json, write_csv, write_json
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
@@ -223,10 +223,8 @@ def _to_rows(diagram: PersistenceDiagram):
 
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
-    """Write ``birth,death,dim`` rows in birth-death coordinates. A float's
-    repr is the shortest string that round-trips binary64."""
-    lines = [f"{b!r},{d!r},{k}" for b, d, k in _to_rows(diagram)]
-    atomic_write_text(path, "\n".join([CSV_HEADER, *lines]) + "\n")
+    """Write ``birth,death,dim`` rows in birth-death coordinates."""
+    write_csv(path, _to_rows(diagram), header=CSV_HEADER)
 
 
 def read_diagram_csv(path) -> PersistenceDiagram:

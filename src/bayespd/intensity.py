@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import field_errors, from_json, stable_sum, write_json
+from ._util import field_errors, from_json, write_json
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -53,6 +53,13 @@ def in_wedge(x) -> np.ndarray:
     return (x[..., 0] >= 0.0) & (x[..., 1] >= 0.0)
 
 
+def canonical_terms(weights, means, variances) -> tuple:
+    """The terms sorted by (mean0, mean1, weight, variance). Equal keys are
+    equal terms, so every permutation of the terms gives one operand order."""
+    order = np.lexsort((variances, weights, means[:, 1], means[:, 0]))
+    return weights[order], means[order], variances[order]
+
+
 def mixture_sum(points, weights, means, variances) -> np.ndarray:
     """Wedge-restricted sum_k weights[k] N(x; means[k], variances[k] I) at
     each point x of ``points`` (..., 2); returns shape (...), a float for (2,).
@@ -60,7 +67,8 @@ def mixture_sum(points, weights, means, variances) -> np.ndarray:
     Points are walked in blocks of about ``BLOCK_CELLS`` point-component
     cells, each evaluated in place. Each term is ``gaussian_density``'s
     arithmetic, with ``squared_distance`` formed in place, and each point's
-    terms are added with ``stable_sum``.
+    terms are added in the order given, which the intensities fix once with
+    ``canonical_terms``.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.shape[-1:] != (2,):
@@ -79,7 +87,7 @@ def mixture_sum(points, weights, means, variances) -> np.ndarray:
             np.exp(terms, out=terms)
             terms /= norm
             terms *= weights
-            out[start:start + step] = stable_sum(terms, axis=-1)
+            out[start:start + step] = terms.sum(axis=-1)
     out = (out * in_wedge(pts)).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
@@ -133,7 +141,7 @@ class MixtureComponent:
     def __post_init__(self):
         mean = tuple(float(m) for m in self.mean)
         if len(mean) != 2 or not all(np.isfinite(mean)):
-            raise ValidationError(f"component mean must be a finite 2-vector, got {self.mean!r}")
+            raise ValidationError(f"component mean must be a finite 2-vector, got {mean}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "variance", float(self.variance))
@@ -161,7 +169,7 @@ class GaussianMixtureIntensity:
     The empty mixture is the zero intensity (useful as "no clutter").
     """
 
-    __slots__ = ("components", "weights", "means", "variances")
+    __slots__ = ("components", "weights", "means", "variances", "_terms")
 
     def __init__(self, components: Iterable[MixtureComponent] = ()):
         components = tuple(components)
@@ -177,6 +185,7 @@ class GaussianMixtureIntensity:
                                     dtype=np.float64)
         for arr in (self.weights, self.means, self.variances):
             arr.flags.writeable = False
+        self._terms = canonical_terms(self.weights, self.means, self.variances)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -184,10 +193,11 @@ class GaussianMixtureIntensity:
     def evaluate(self, x) -> np.ndarray:
         """Intensity at points ``x`` of shape (..., 2); zero outside the wedge.
 
-        Component contributions are accumulated with order-canonicalized
-        summation, so the result is invariant under component permutation.
+        Components are added in ``canonical_terms`` order, fixed at
+        construction, so the result is bitwise invariant under component
+        permutation.
         """
-        return mixture_sum(x, self.weights, self.means, self.variances)
+        return mixture_sum(x, *self._terms)
 
     def component_masses(self) -> np.ndarray:
         """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""

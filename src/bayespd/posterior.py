@@ -22,23 +22,23 @@ term is kept structurally intact, so alpha = 0 reproduces the prior bitwise.
 ``posterior_numeric_oracle`` evaluates the same posterior directly from the
 defining formula, computing each denominator integral by adaptive
 quadrature. It shares no algebra with the closed form beyond the Gaussian
-density itself, and also accepts a spatially varying retention profile.
+density itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._util import as_finite, atomic_write_text, field_errors, stable_sum
+from ._util import as_finite, field_errors, write_csv
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
-from .intensity import (GaussianMixtureIntensity, gaussian_density,
-                        gaussian_product, in_wedge, mixture_sum,
-                        wedge_gaussian_mass)
+from .intensity import (GaussianMixtureIntensity, canonical_terms,
+                        gaussian_density, gaussian_product, in_wedge,
+                        mixture_sum, wedge_gaussian_mass)
 from .quadrature import adaptive_quad_2d
 
 #: Gaussian support is truncated at mean +- TAIL_SIGMAS standard deviations
@@ -97,7 +97,7 @@ class PosteriorIntensity:
     """
 
     __slots__ = ("prior", "alpha", "likelihood_variance", "observation_count",
-                 "coefficients", "means", "variances", "_component_masses")
+                 "coefficients", "means", "variances", "_component_masses", "_terms")
 
     def __init__(self, prior: GaussianMixtureIntensity, alpha: float,
                  likelihood_variance: float, observation_count: int,
@@ -112,14 +112,17 @@ class PosteriorIntensity:
         self.variances = np.asarray(variances, dtype=np.float64)
         self._component_masses = self.coefficients * wedge_gaussian_mass(
             self.means, self.variances)
+        self._terms = canonical_terms(self.coefficients, self.means, self.variances)
 
     def evaluate(self, x) -> np.ndarray:
         """Posterior intensity at ``x`` (..., 2); zero outside the wedge.
 
-        Permutation invariant: contributions are summed in canonical order,
-        so reordering observed diagrams or points never changes the result.
+        Permutation invariant: data components are added in
+        ``canonical_terms`` order, fixed at construction, so reordering
+        observed diagrams, their points or the prior's components never
+        changes a bit.
         """
-        data = mixture_sum(x, self.coefficients, self.means, self.variances)
+        data = mixture_sum(x, *self._terms)
         return ((1.0 - self.alpha) * self.prior.evaluate(x)
                 + (self.alpha / self.observation_count) * data)
 
@@ -273,41 +276,30 @@ def write_grid_csv(path, grid: Grid, values: np.ndarray) -> None:
         raise ValidationError(
             f"values shape {values.shape} does not match grid "
             f"({grid.ny}, {grid.nx})")
-    lines = ["y\\x," + ",".join(repr(float(x)) for x in grid.x_axis)]
-    for y, row in zip(grid.y_axis, values):
-        lines.append(repr(float(y)) + "," +
-                     ",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([grid.y_axis, values])
+    write_csv(path, (row.tolist() for row in rows),
+              header="y\\x," + ",".join(map(repr, grid.x_axis.tolist())))
 
 
 # -- independent oracle ------------------------------------------------------
 
 def _bracket_cuts(centers, sds) -> list[float]:
     """Panel cuts bracketing Gaussian peaks at +-4 and +-8 sigma."""
-    cuts: list[float] = []
-    for c, sd in zip(centers, sds):
-        for k in (-TAIL_SIGMAS, -4.0, 4.0, TAIL_SIGMAS):
-            cuts.append(float(c + k * sd))
-    return cuts
+    return [float(c + k * sd) for c, sd in zip(centers, sds)
+            for k in (-TAIL_SIGMAS, -4.0, 4.0, TAIL_SIGMAS)]
 
 
-def posterior_numeric_oracle(prior, model: ObservationModel,
+def posterior_numeric_oracle(prior: GaussianMixtureIntensity,
+                             model: ObservationModel,
                              observations: Sequence[PersistenceDiagram],
-                             grid: Grid, *,
-                             alpha_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                             rtol: float = 1e-9,
-                             support_box: Sequence[float] | None = None) -> np.ndarray:
+                             grid: Grid, *, rtol: float = 1e-9) -> np.ndarray:
     """Evaluate the posterior intensity on ``grid`` straight from its
     defining formula, with denominators computed by adaptive quadrature.
 
     Parameters
     ----------
-    prior : GaussianMixtureIntensity or callable
-        Latent intensity. A callable must map (N, 2) points to values and be
-        accompanied by ``support_box`` bounding its support.
-    alpha_fn : callable, optional
-        Spatially varying retention profile alpha(x) mapping (N, 2) points
-        to values in [0, 1]. Defaults to the constant ``model.alpha``.
+    prior : GaussianMixtureIntensity
+        Latent intensity.
     rtol : float
         Relative tolerance for each denominator integral. Relative, because
         barely explained observations make the posterior divide by a
@@ -316,83 +308,53 @@ def posterior_numeric_oracle(prior, model: ObservationModel,
 
     Returns
     -------
-    (ny, nx) array of posterior intensity values.
+    (ny, nx) array of posterior intensity values. Per-point kernels are
+    added in lexicographic point order, so the result does not depend on the
+    order of the observations.
     """
-    point_sets = _tilted_observations(observations)
+    if not isinstance(prior, GaussianMixtureIntensity) or len(prior) == 0:
+        raise ValidationError("prior must be a nonempty GaussianMixtureIntensity")
+    points = np.concatenate(_tilted_observations(observations))
     m = len(observations)
+    alpha = model.alpha
     lv = model.likelihood_variance
 
-    if isinstance(prior, GaussianMixtureIntensity):
-        prior_fn = prior.evaluate
-
-        def quad_domain(y: np.ndarray):
-            # The integrand is kernel(y, x) * prior(x). Per mixture
-            # component that product is a single Gaussian bump centred
-            # between y and the component mean and narrower than either
-            # factor, so the box must cover the bumps themselves. Boxing
-            # the prior's own support instead clips any bump that a far
-            # observed point drags toward the support edge, and the panel
-            # error estimates never see the truncated tail.
-            bump_var = prior.variances * lv / (prior.variances + lv)
-            bump_sd = np.sqrt(bump_var)
-            centers = ((prior.variances[:, None] * y + lv * prior.means)
-                       / (prior.variances + lv)[:, None])
-            half = TAIL_SIGMAS * bump_sd
-            box = (max(0.0, float(np.min(centers[:, 0] - half))),
-                   float(np.max(centers[:, 0] + half)),
-                   max(0.0, float(np.min(centers[:, 1] - half))),
-                   float(np.max(centers[:, 1] + half)))
-            return (box, _bracket_cuts(centers[:, 0], bump_sd),
-                    _bracket_cuts(centers[:, 1], bump_sd))
-    else:
-        if support_box is None:
-            raise ValidationError(
-                "a callable prior requires an explicit support_box")
-        prior_fn = prior
-        support = tuple(float(v) for v in support_box)
-
-        def quad_domain(y: np.ndarray):
-            sd = math.sqrt(lv)
-            box = (max(0.0, support[0], y[0] - TAIL_SIGMAS * sd),
-                   min(support[1], y[0] + TAIL_SIGMAS * sd),
-                   max(0.0, support[2], y[1] - TAIL_SIGMAS * sd),
-                   min(support[3], y[1] + TAIL_SIGMAS * sd))
-            return box, _bracket_cuts([y[0]], [sd]), _bracket_cuts([y[1]], [sd])
-
-    if alpha_fn is None:
-        const_alpha = model.alpha
-        alpha_eval = lambda pts: np.full(pts.shape[:-1], const_alpha)  # noqa: E731
-    else:
-        alpha_eval = alpha_fn
-
     def denominator(y: np.ndarray) -> float:
-        box, dcuts_x, dcuts_y = quad_domain(y)
-        integral = 0.0
-        if box[1] > box[0] and box[3] > box[2]:
-            def integrand(pts):
-                return (gaussian_density(pts, y, lv) * alpha_eval(pts)
-                        * prior_fn(pts) * in_wedge(pts))
+        # The integrand is kernel(y, x) * prior(x). Per mixture component
+        # that product is a single Gaussian bump centred between y and the
+        # component mean and narrower than either factor, so the box must
+        # cover the bumps themselves. Boxing the prior's own support instead
+        # clips any bump that a far observed point drags toward the support
+        # edge, and the panel error estimates never see the truncated tail.
+        bump_sd = np.sqrt(prior.variances * lv / (prior.variances + lv))
+        centers = ((prior.variances[:, None] * y + lv * prior.means)
+                   / (prior.variances + lv)[:, None])
+        half = TAIL_SIGMAS * bump_sd
+        box = (max(0.0, float(np.min(centers[:, 0] - half))),
+               float(np.max(centers[:, 0] + half)),
+               max(0.0, float(np.min(centers[:, 1] - half))),
+               float(np.max(centers[:, 1] + half)))
 
-            integral, _ = adaptive_quad_2d(
-                integrand, box, atol=1e-280, rtol=rtol,
-                initial_cuts_x=dcuts_x, initial_cuts_y=dcuts_y)
+        def integrand(pts):
+            return (gaussian_density(pts, y, lv) * alpha
+                    * prior.evaluate(pts) * in_wedge(pts))
+
+        integral, _ = adaptive_quad_2d(  # 0.0 over an empty box
+            integrand, box, atol=1e-280, rtol=rtol,
+            initial_cuts_x=_bracket_cuts(centers[:, 0], bump_sd),
+            initial_cuts_y=_bracket_cuts(centers[:, 1], bump_sd))
         value = float(model.clutter.evaluate(y)) + integral
         if value <= 0.0:
             raise DegenerateObservationError(
                 f"observed point {tuple(y)} has zero posterior denominator")
         return value
 
-    all_points = [y for pts in point_sets for y in pts]
-    if alpha_fn is None and model.alpha == 0.0:
-        all_points = []  # data term vanishes identically; skip denominators
-    denominators = [denominator(y) for y in all_points]
-
     mesh = grid.mesh().reshape(-1, 2)
-    prior_vals = np.asarray(prior_fn(mesh), dtype=np.float64) * in_wedge(mesh)
-    alphas = np.asarray(alpha_eval(mesh), dtype=np.float64)
-    out = (1.0 - alphas) * prior_vals
-    if all_points:
-        kernels = np.stack([gaussian_density(mesh, y, lv) / d
-                            for y, d in zip(all_points, denominators)], axis=-1)
-        out = out + (alphas / m) * prior_vals * stable_sum(kernels, axis=-1)
+    prior_vals = prior.evaluate(mesh)
+    out = (1.0 - alpha) * prior_vals
+    if alpha != 0.0 and len(points):  # otherwise the data term is zero
+        points = points[np.lexsort((points[:, 1], points[:, 0]))]
+        kernels = np.stack([gaussian_density(mesh, y, lv) / denominator(y)
+                            for y in points], axis=-1)
+        out = out + (alpha / m) * prior_vals * kernels.sum(axis=-1)
     return out.reshape(grid.ny, grid.nx)

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from ._util import atomic_write_text
+from ._util import write_csv
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
@@ -247,8 +247,7 @@ def connected_components(cloud: PointCloud, radius: float) -> int:
 
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:
     """One point per line, comma-separated coordinates, no header."""
-    lines = [",".join(repr(float(v)) for v in row) for row in cloud.points]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, cloud.points.tolist())
 
 
 def read_point_cloud_csv(path, *, skip_header: bool = False) -> PointCloud:

@@ -151,11 +151,14 @@ def test_mixture_evaluate_permutation_invariant_exactly():
 
 def one_shot_mixture(x, weights, means, variances):
     """Reference evaluator: one (points x components x 2) difference array,
-    reduced over its last axis, then a sorted sum per point."""
+    reduced over its last axis, then each point's terms summed in the
+    canonical (mean0, mean1, weight, variance) component order."""
+    order = np.lexsort((variances, weights, means[:, 1], means[:, 0]))
+    weights, means, variances = weights[order], means[order], variances[order]
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     sq = np.sum((pts[..., None, :] - means) ** 2, axis=-1)
     dens = np.exp(-0.5 * sq / variances) / (2.0 * math.pi * variances)
-    out = np.sum(np.sort(weights * dens, axis=-1), axis=-1) * in_wedge(pts)
+    out = np.sum(weights * dens, axis=-1) * in_wedge(pts)
     return out.reshape(np.shape(x)[:-1])
 
 
@@ -201,6 +204,43 @@ def test_blocked_evaluation_matches_one_shot_formula_bitwise(
                 + (alpha / m) * one_shot_mixture(x, mix.weights, mix.means,
                                                  mix.variances))
     np.testing.assert_array_equal(post.evaluate(x), expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_components=st.integers(1, 300),
+       edge=st.sampled_from([-1, 0, 1]))
+def test_evaluate_is_bitwise_invariant_under_component_permutation(
+        seed, n_components, edge):
+    # Coordinates, weights and variances come from three values each, so
+    # components share a mean, a mean and weight, or repeat outright.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.01, 2.5, (4, 3))
+    weights = rng.choice(values[2], n_components)
+    variances = rng.choice(values[3], n_components)
+    means = np.column_stack([rng.choice(values[0], n_components),
+                             rng.choice(values[1], n_components)])
+    perm = rng.permutation(n_components)
+    pts = rng.uniform(-0.5, 3.0, (max(1, BLOCK_CELLS // n_components) + edge, 2))
+
+    def mixture(order):
+        return GaussianMixtureIntensity(
+            MixtureComponent(weights[i], tuple(means[i]), variances[i])
+            for i in order)
+
+    identity = np.arange(n_components)
+    expected = mixture(identity).evaluate(pts)
+    np.testing.assert_array_equal(mixture(perm).evaluate(pts), expected)
+
+    prior_order = rng.permutation(min(n_components, 4))
+
+    def posterior(order, prior_order):
+        return PosteriorIntensity(mixture(prior_order), 0.5, 0.01, 3,
+                                  weights[order], means[order], variances[order])
+
+    expected = posterior(identity, np.arange(len(prior_order))).evaluate(pts)
+    np.testing.assert_array_equal(
+        posterior(perm, prior_order).evaluate(pts), expected)
 
 
 def test_grid_evaluation_memory_is_bounded():
@@ -251,6 +291,13 @@ def test_component_validation():
         MixtureComponent(1.0, (0.0, 0.0), 0.0)
     with pytest.raises(ValidationError):
         MixtureComponent(1.0, (0.0, 0.0, 0.0), 1.0)
+
+
+def test_component_mean_error_prints_plain_floats():
+    with pytest.raises(ValidationError) as got:
+        MixtureComponent(1.0, (np.float64(0.5), np.nan), 1.0)
+    assert str(got.value) == (
+        "component mean must be a finite 2-vector, got (0.5, nan)")
 
 
 def test_component_dict_round_trip():

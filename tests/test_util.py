@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from bayespd._util import as_generator, atomic_write_text, derived_rng, stable_sum
+from bayespd._util import as_generator, atomic_write_text, derived_rng
 
 
 def test_as_generator_accepts_seed_and_generator():
@@ -16,26 +15,6 @@ def test_derived_rng_is_deterministic_and_path_sensitive():
     assert derived_rng(3, 1, 2).random() == derived_rng(3, 1, 2).random()
     assert derived_rng(3, 1, 2).random() != derived_rng(3, 2, 1).random()
     assert derived_rng(3).random() != derived_rng(4).random()
-
-
-def test_stable_sum_is_permutation_invariant():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal(257) * 10.0 ** rng.integers(-8, 8, 257)
-    base = stable_sum(values)
-    for _ in range(50):
-        assert stable_sum(rng.permutation(values)) == base
-
-
-def test_stable_sum_axis_and_empty():
-    arr = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_allclose(stable_sum(arr, axis=-1), arr.sum(axis=-1))
-    assert stable_sum(np.zeros(0)) == 0.0
-
-
-def test_stable_sum_matches_plain_sum_for_benign_values():
-    rng = np.random.default_rng(1)
-    values = rng.uniform(0.0, 1.0, 100)
-    assert stable_sum(values) == pytest.approx(values.sum(), rel=1e-15)
 
 
 def test_atomic_write_text(tmp_path):
