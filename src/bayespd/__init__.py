@@ -14,8 +14,8 @@ from .classify import (BayesFactorReport, BayesFactorResult, ClassModel,
                        bootstrap_auc, cross_validate, kmeans, kmeans_prior,
                        log_poisson_density, roc_curve)
 from .diagrams import (PersistenceDiagram, read_diagram, read_diagram_csv,
-                       read_diagram_json, tilt, untilt, write_diagram,
-                       write_diagram_csv, write_diagram_json)
+                       read_diagram_json, write_diagram, write_diagram_csv,
+                       write_diagram_json)
 from .errors import (BayesPDError, DegenerateObservationError, NumericalError,
                      QuadratureError, SamplingError, SimplexBudgetError,
                      UsageError, ValidationError)
@@ -31,9 +31,8 @@ from .presets import (CASE_PRESETS, PRIOR_PRESETS, ExperimentConfig,
                       experiment_preset, experiment_presets, h1_diagram,
                       prior_preset, run_experiment)
 from .quadrature import adaptive_quad_2d
-from .rips import (FiltrationParams, PointCloud, connected_components,
-                   read_point_cloud_csv, rips_persistence,
-                   write_point_cloud_csv)
+from .rips import (FiltrationParams, PointCloud, read_point_cloud_csv,
+                   rips_persistence, write_point_cloud_csv)
 from .simulate import (LatticeSpec, lattice_sites, sample_lattice,
                        sample_noisy_circle, sample_observation,
                        sample_poisson_pp)
@@ -49,16 +48,15 @@ __all__ = [
     "PosteriorIntensity", "PriorSpec", "QuadratureError", "SamplingError",
     "SimplexBudgetError", "UsageError", "ValidationError", "adaptive_quad_2d",
     "aptlike_observation_model", "bayes_factor", "bootstrap_auc",
-    "case_observation_model", "connected_components", "cross_validate",
-    "experiment_preset", "experiment_presets", "gaussian_density",
-    "gaussian_product", "h1_diagram", "in_wedge",
-    "kmeans", "kmeans_prior", "lattice_sites", "log_poisson_density",
-    "posterior_closed_form", "posterior_numeric_oracle", "prior_preset",
-    "read_diagram", "read_diagram_csv", "read_diagram_json",
-    "read_mixture_json", "read_point_cloud_csv", "rips_persistence",
-    "roc_curve", "run_experiment", "sample_lattice", "sample_noisy_circle",
-    "sample_observation", "sample_poisson_pp", "scaled_intensity_grid",
-    "tilt", "untilt", "wedge_gaussian_mass", "write_diagram",
-    "write_diagram_csv", "write_diagram_json", "write_grid_csv",
-    "write_mixture_json", "write_point_cloud_csv",
+    "case_observation_model", "cross_validate", "experiment_preset",
+    "experiment_presets", "gaussian_density", "gaussian_product",
+    "h1_diagram", "in_wedge", "kmeans", "kmeans_prior", "lattice_sites",
+    "log_poisson_density", "posterior_closed_form",
+    "posterior_numeric_oracle", "prior_preset", "read_diagram",
+    "read_diagram_csv", "read_diagram_json", "read_mixture_json",
+    "read_point_cloud_csv", "rips_persistence", "roc_curve", "run_experiment",
+    "sample_lattice", "sample_noisy_circle", "sample_observation",
+    "sample_poisson_pp", "scaled_intensity_grid", "wedge_gaussian_mass",
+    "write_diagram", "write_diagram_csv", "write_diagram_json",
+    "write_grid_csv", "write_mixture_json", "write_point_cloud_csv",
 ]

@@ -52,31 +52,25 @@ def _log_density_parts(intensity, diagram: PersistenceDiagram,
                        mode: str) -> tuple[float, float]:
     """Split log p(D) into (mass, data) with log p = -mass + data.
 
-    ``data`` is -inf when the intensity vanishes at some feature; that is a
+    Each log intensity is a log-sum-exp, so ``data`` is -inf only when a
+    feature lies outside the wedge or the intensity has no terms; that is a
     reportable value, not an error.
     """
     _check_mode(mode)
-    if len(diagram):
-        values = np.atleast_1d(np.asarray(
-            intensity.evaluate(diagram.tilted_points), dtype=np.float64))
-    else:
-        values = np.zeros(0)
     if mode == "paper-literal" and isinstance(intensity, PosteriorIntensity):
         mass = intensity.prior.total_mass()
     else:
         mass = intensity.total_mass()
-    if np.any(values <= 0.0):
-        return mass, -math.inf
-    data = math.fsum(np.log(values)) - math.lgamma(len(diagram) + 1)
-    return mass, data
+    logs = np.atleast_1d(intensity.log_evaluate(diagram.tilted_points))
+    return mass, math.fsum(logs) - math.lgamma(len(diagram) + 1)
 
 
 def log_poisson_density(intensity, diagram: PersistenceDiagram,
                         mode: str = "paper-literal") -> float:
     """Poisson-process log density of ``diagram`` under ``intensity``.
 
-    Returns -inf (no exception) when a feature sits where the intensity is
-    zero, e.g. outside the wedge's interior support.
+    Returns -inf (no exception) when a feature lies outside the wedge or
+    the intensity has no terms.
     """
     mass, data = _log_density_parts(intensity, diagram, mode)
     return -mass + data

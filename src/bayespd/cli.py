@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -26,14 +27,14 @@ from .intensity import GaussianMixtureIntensity, read_mixture_json
 from .posterior import (Grid, ObservationModel, grid_argmax, mass_summary,
                         posterior_closed_form, scaled_intensity_grid,
                         write_grid_csv)
-from .presets import (PRIOR_PRESETS, ExperimentConfig, experiment_preset,
-                      experiment_presets, prior_preset, run_experiment)
-from .rips import (FiltrationParams, read_point_cloud_csv, rips_persistence,
+from .presets import (DEFAULT_GRID, PRIOR_PRESETS, ExperimentConfig,
+                      experiment_preset, experiment_presets, prior_preset,
+                      run_experiment)
+from .rips import (DEFAULT_SIMPLEX_BUDGET, FiltrationParams,
+                   read_point_cloud_csv, rips_persistence,
                    write_point_cloud_csv)
 from .simulate import (LatticeSpec, sample_lattice, sample_noisy_circle,
                        sample_observation, sample_poisson_pp)
-
-DEFAULT_GRID_SPEC = "0,3,0,3,200,200"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="filtration cutoff (default: unbounded)")
     p.add_argument("--header", action="store_true",
                    help="skip one header row in the input CSV")
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="simplex budget guard (default 2e6)")
+    p.add_argument("--budget", type=int, default=DEFAULT_SIMPLEX_BUDGET,
+                   help="simplex budget guard (default %(default)s)")
     p.set_defaults(func=_cmd_compute_pd)
 
     p = sub.add_parser("posterior",
@@ -334,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observed diagram file(s)")
     p.add_argument("--dim", type=int, default=1,
                    help="homology dimension to restrict observations to (default 1)")
-    p.add_argument("--grid", default=DEFAULT_GRID_SPEC,
-                   help=f"x0,x1,y0,y1,nx,ny (default {DEFAULT_GRID_SPEC})")
+    p.add_argument("--grid", default=",".join(f"{v:g}" for v in astuple(DEFAULT_GRID)),
+                   help="x0,x1,y0,y1,nx,ny (default %(default)s)")
     p.add_argument("--out", required=True, help="grid CSV output path")
     p.add_argument("--scaled", action="store_true",
                    help="scale the grid so its maximum is 1")

@@ -13,9 +13,6 @@ round trips. Carrying both arrays sidesteps that entirely.
 
 from __future__ import annotations
 
-import warnings
-from typing import Sequence
-
 import numpy as np
 
 from ._util import as_integer, read_json, write_csv, write_json
@@ -100,7 +97,7 @@ class PersistenceDiagram:
         """Build a diagram from birth-death triples (the on-disk convention).
 
         Features with infinite death (essential classes) are dropped; the
-        count is kept in ``n_dropped_infinite`` and a warning is emitted.
+        count is kept in ``n_dropped_infinite``.
         """
         births = np.atleast_1d(np.asarray(births, dtype=np.float64))
         deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64))
@@ -108,15 +105,9 @@ class PersistenceDiagram:
         if births.shape != deaths.shape or births.shape != dims.shape:
             raise ValidationError(
                 "births, deaths and dims must have equal length")
-        infinite = np.isposinf(deaths)
-        n_dropped = int(np.count_nonzero(infinite))
-        if n_dropped:
-            warnings.warn(
-                f"dropping {n_dropped} feature(s) with infinite death",
-                stacklevel=2)
-            keep = ~infinite
-            births, deaths, dims = births[keep], deaths[keep], dims[keep]
-        return cls(births, deaths, dims, n_dropped_infinite=n_dropped)
+        keep = ~np.isposinf(deaths)
+        return cls(births[keep], deaths[keep], dims[keep],
+                   n_dropped_infinite=int(np.count_nonzero(~keep)))
 
     @classmethod
     def from_tilted(cls, births, persistences, dims) -> "PersistenceDiagram":
@@ -184,37 +175,6 @@ class PersistenceDiagram:
                 f"dims={sorted(set(self.dims.tolist()))})")
 
 
-# -- coordinate maps on raw points ----------------------------------------
-
-def tilt(birth_death: Sequence) -> np.ndarray:
-    """Map (birth, death) pairs to tilted (birth, death - birth) pairs.
-
-    Rejects pairs with death < birth or birth < 0.
-    """
-    pts = np.atleast_2d(np.asarray(birth_death, dtype=np.float64))
-    if pts.shape[-1] != 2:
-        raise ValidationError("expected (n, 2) array of (birth, death) pairs")
-    if np.any(pts[:, 0] < 0) or np.any(~np.isfinite(pts)):
-        raise ValidationError("births must be finite and >= 0, deaths finite")
-    if np.any(pts[:, 1] < pts[:, 0]):
-        i = int(np.argmax(pts[:, 1] < pts[:, 0]))
-        raise ValidationError(
-            f"pair {i}: death < birth ({float(pts[i, 1])} < {float(pts[i, 0])})")
-    return np.column_stack([pts[:, 0], pts[:, 1] - pts[:, 0]])
-
-
-def untilt(tilted: Sequence) -> np.ndarray:
-    """Map tilted (birth, persistence) pairs back to (birth, death) pairs."""
-    pts = np.atleast_2d(np.asarray(tilted, dtype=np.float64))
-    if pts.shape[-1] != 2:
-        raise ValidationError(
-            "expected (n, 2) array of (birth, persistence) pairs")
-    if np.any(pts < 0) or np.any(~np.isfinite(pts)):
-        raise ValidationError(
-            "births and persistences must be finite and >= 0")
-    return np.column_stack([pts[:, 0], pts[:, 0] + pts[:, 1]])
-
-
 # -- file I/O ---------------------------------------------------------------
 
 def _to_rows(diagram: PersistenceDiagram):
@@ -269,12 +229,10 @@ def _check_triple(b: float, d: float, k: int) -> None:
 
 def _from_rows(rows: list[tuple[float, float, int]]) -> PersistenceDiagram:
     """The diagram of checked (birth, death, dim) rows. Infinite deaths are
-    dropped without a warning; their count stays on the diagram."""
+    dropped; their count stays on the diagram."""
     table = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return PersistenceDiagram.from_birth_death(
-            table[:, 0], table[:, 1], table[:, 2].astype(np.int64))
+    return PersistenceDiagram.from_birth_death(
+        table[:, 0], table[:, 1], table[:, 2].astype(np.int64))
 
 
 def write_diagram_json(diagram: PersistenceDiagram, path) -> None:

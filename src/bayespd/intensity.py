@@ -60,36 +60,66 @@ def canonical_terms(weights, means, variances) -> tuple:
     return weights[order], means[order], variances[order]
 
 
-def mixture_sum(points, weights, means, variances) -> np.ndarray:
-    """Wedge-restricted sum_k weights[k] N(x; means[k], variances[k] I) at
-    each point x of ``points`` (..., 2); returns shape (...), a float for (2,).
-
-    Points are walked in blocks of about ``BLOCK_CELLS`` point-component
-    cells, each evaluated in place. Each term is ``gaussian_density``'s
-    arithmetic, with ``squared_distance`` formed in place, and each point's
-    terms are added in the order given, which the intensities fix once with
-    ``canonical_terms``.
-    """
+def _blockwise(points, means, variances, reduce, outside) -> np.ndarray:
+    """``reduce`` of each point's exponents -|x - mean|^2 / (2 variance),
+    and ``outside`` off the wedge, at the points (..., 2); returns shape
+    (...), a float for (2,). Points are walked in blocks of about
+    ``BLOCK_CELLS`` point-component cells, with ``squared_distance`` formed
+    in place, and ``reduce`` gets each block's (points, components) array."""
     x = np.asarray(points, dtype=np.float64)
     if x.shape[-1:] != (2,):
         raise ValidationError(f"points must have shape (..., 2), got {x.shape}")
     pts = x.reshape(-1, 2)
-    out = np.zeros(len(pts))
-    if len(weights):
-        norm = TWO_PI * variances
-        step = max(1, BLOCK_CELLS // len(weights))
+    out = np.full(len(pts), outside)
+    if len(means):
+        step = max(1, BLOCK_CELLS // len(means))
         for start in range(0, len(pts), step):
             block = pts[start:start + step]
             terms = (block[:, 0, None] - means[:, 0]) ** 2
             terms += (block[:, 1, None] - means[:, 1]) ** 2
             terms *= -0.5
             terms /= variances
-            np.exp(terms, out=terms)
-            terms /= norm
-            terms *= weights
-            out[start:start + step] = terms.sum(axis=-1)
-    out = (out * in_wedge(pts)).reshape(x.shape[:-1])
+            out[start:start + step] = reduce(terms)
+    out = np.where(in_wedge(pts), out, outside).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
+
+
+def mixture_sum(points, weights, means, variances) -> np.ndarray:
+    """Wedge-restricted sum_k weights[k] N(x; means[k], variances[k] I) at
+    each point x of ``points`` (..., 2), by ``_blockwise``. Each term is
+    ``gaussian_density``'s arithmetic, and each point's terms are added in
+    the order given, which the intensities fix once with ``canonical_terms``.
+    """
+    norm = TWO_PI * variances
+
+    def total(terms):
+        np.exp(terms, out=terms)
+        terms /= norm
+        terms *= weights
+        return terms.sum(axis=-1)
+
+    return _blockwise(points, means, variances, total, 0.0)
+
+
+def log_mixture_sum(points, weights, means, variances) -> np.ndarray:
+    """Natural log of ``mixture_sum`` for positive ``weights``, without
+    underflow: a log-sum-exp per point that shifts each point's log terms by
+    their maximum, then adds them in the order given (Blanchard, Higham &
+    Higham 2021, "Accurately computing the log-sum-exp and softmax
+    functions"). It is -inf outside the wedge and for an empty mixture.
+    """
+    log_norm = np.log(weights) - np.log(TWO_PI * variances)
+
+    def log_total(terms):
+        terms += log_norm
+        peak = terms.max(axis=-1, keepdims=True)
+        peak[np.isneginf(peak)] = 0.0  # every term vanishes: log 0
+        terms -= peak
+        np.exp(terms, out=terms)
+        return peak[:, 0] + np.log(terms.sum(axis=-1))
+
+    with np.errstate(divide="ignore"):
+        return _blockwise(points, means, variances, log_total, -np.inf)
 
 
 def wedge_gaussian_mass(mean, variance):
@@ -198,6 +228,11 @@ class GaussianMixtureIntensity:
         permutation.
         """
         return mixture_sum(x, *self._terms)
+
+    def log_evaluate(self, x) -> np.ndarray:
+        """Natural log of ``evaluate``, finite wherever the mixture is
+        nonempty and ``x`` is in the wedge; see ``log_mixture_sum``."""
+        return log_mixture_sum(x, *self._terms)
 
     def component_masses(self) -> np.ndarray:
         """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""

@@ -38,7 +38,7 @@ from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, canonical_terms,
                         gaussian_density, gaussian_product, in_wedge,
-                        mixture_sum, wedge_gaussian_mass)
+                        log_mixture_sum, mixture_sum, wedge_gaussian_mass)
 from .quadrature import adaptive_quad_2d
 
 #: Gaussian support is truncated at mean +- TAIL_SIGMAS standard deviations
@@ -87,7 +87,7 @@ class PosteriorIntensity:
     Attributes
     ----------
     prior : GaussianMixtureIntensity
-    alpha, likelihood_variance : float
+    alpha : float
     observation_count : int
         Number of observed diagrams m.
     coefficients, means, variances : ndarray
@@ -96,16 +96,14 @@ class PosteriorIntensity:
         N*(x; means[t], variances[t] I)``.
     """
 
-    __slots__ = ("prior", "alpha", "likelihood_variance", "observation_count",
-                 "coefficients", "means", "variances", "_component_masses", "_terms")
+    __slots__ = ("prior", "alpha", "observation_count", "coefficients", "means",
+                 "variances", "_component_masses", "_terms", "_log_terms")
 
     def __init__(self, prior: GaussianMixtureIntensity, alpha: float,
-                 likelihood_variance: float, observation_count: int,
-                 coefficients: np.ndarray, means: np.ndarray,
-                 variances: np.ndarray):
+                 observation_count: int, coefficients: np.ndarray,
+                 means: np.ndarray, variances: np.ndarray):
         self.prior = prior
         self.alpha = float(alpha)
-        self.likelihood_variance = float(likelihood_variance)
         self.observation_count = int(observation_count)
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.means = np.asarray(means, dtype=np.float64).reshape(-1, 2)
@@ -113,6 +111,14 @@ class PosteriorIntensity:
         self._component_masses = self.coefficients * wedge_gaussian_mass(
             self.means, self.variances)
         self._terms = canonical_terms(self.coefficients, self.means, self.variances)
+        # one term list for log_evaluate: retained prior and data together
+        weights = np.concatenate([(1.0 - self.alpha) * prior.weights,
+                                  self.alpha / self.observation_count
+                                  * self.coefficients])
+        keep = weights > 0.0
+        self._log_terms = canonical_terms(
+            weights[keep], np.concatenate([prior.means, self.means])[keep],
+            np.concatenate([prior.variances, self.variances])[keep])
 
     def evaluate(self, x) -> np.ndarray:
         """Posterior intensity at ``x`` (..., 2); zero outside the wedge.
@@ -125,6 +131,12 @@ class PosteriorIntensity:
         data = mixture_sum(x, *self._terms)
         return ((1.0 - self.alpha) * self.prior.evaluate(x)
                 + (self.alpha / self.observation_count) * data)
+
+    def log_evaluate(self, x) -> np.ndarray:
+        """Natural log of ``evaluate`` by ``log_mixture_sum`` over the
+        retained prior and data terms, sorted together once at construction;
+        finite wherever some term is nonzero and ``x`` is in the wedge."""
+        return log_mixture_sum(x, *self._log_terms)
 
     def prior_retention_mass(self) -> float:
         """Mass of the (1 - alpha) * prior term."""
@@ -177,8 +189,8 @@ def posterior_closed_form(prior: GaussianMixtureIntensity,
     lv = model.likelihood_variance
 
     if alpha == 0.0:
-        return PosteriorIntensity(prior, alpha, lv, m,
-                                  np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+        return PosteriorIntensity(prior, alpha, m, np.zeros(0), np.zeros((0, 2)),
+                                  np.zeros(0))
 
     # One row per observed point in diagram order, one column per prior
     # component; raveling row-major gives the per-point concatenation order.
@@ -198,7 +210,7 @@ def posterior_closed_form(prior: GaussianMixtureIntensity,
             f"diagram {d_index}: observed point {tuple(points[first])} has zero "
             "posterior denominator; it is unexplainable under this "
             "prior/clutter (likely far outside their support)")
-    return PosteriorIntensity(prior, alpha, lv, m, (w / denom[:, None]).ravel(),
+    return PosteriorIntensity(prior, alpha, m, (w / denom[:, None]).ravel(),
                               post_mean.reshape(-1, 2),
                               np.tile(post_var, len(points)))
 
@@ -292,23 +304,11 @@ def _bracket_cuts(centers, sds) -> list[float]:
 def posterior_numeric_oracle(prior: GaussianMixtureIntensity,
                              model: ObservationModel,
                              observations: Sequence[PersistenceDiagram],
-                             grid: Grid, *, rtol: float = 1e-9) -> np.ndarray:
+                             grid: Grid) -> np.ndarray:
     """Evaluate the posterior intensity on ``grid`` straight from its
     defining formula, with denominators computed by adaptive quadrature.
 
-    Parameters
-    ----------
-    prior : GaussianMixtureIntensity
-        Latent intensity.
-    rtol : float
-        Relative tolerance for each denominator integral. Relative, because
-        barely explained observations make the posterior divide by a
-        denominator that can be many orders of magnitude below 1; only a
-        deep-underflow absolute floor is applied.
-
-    Returns
-    -------
-    (ny, nx) array of posterior intensity values. Per-point kernels are
+    Returns the (ny, nx) posterior intensity values. Per-point kernels are
     added in lexicographic point order, so the result does not depend on the
     order of the observations.
     """
@@ -339,8 +339,10 @@ def posterior_numeric_oracle(prior: GaussianMixtureIntensity,
             return (gaussian_density(pts, y, lv) * alpha
                     * prior.evaluate(pts) * in_wedge(pts))
 
-        integral, _ = adaptive_quad_2d(  # 0.0 over an empty box
-            integrand, box, atol=1e-280, rtol=rtol,
+        # 0.0 over an empty box. The tolerance is relative, because a barely
+        # explained point divides by a denominator far below 1.
+        integral, _ = adaptive_quad_2d(
+            integrand, box, atol=1e-280, rtol=1e-9,
             initial_cuts_x=_bracket_cuts(centers[:, 0], bump_sd),
             initial_cuts_y=_bracket_cuts(centers[:, 1], bump_sd))
         value = float(model.clutter.evaluate(y)) + integral

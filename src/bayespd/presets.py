@@ -18,7 +18,7 @@ byte-identical files.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +145,7 @@ class ExperimentConfig:
                 "observation": self.observation.to_dict(),
                 "data": {"n": self.circle_n,
                          "noise_variance": self.circle_noise_variance},
-                "grid": [self.grid.x0, self.grid.x1, self.grid.y0,
-                         self.grid.y1, self.grid.nx, self.grid.ny],
+                "grid": list(astuple(self.grid)),
             })
         else:
             out.update({
@@ -175,7 +174,7 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"circle-posterior config needs keys {sorted(required)} "
                     f"(optional: name, seed, grid); got {sorted(data)}")
-            grid_spec = data.get("grid", [0.0, 3.0, 0.0, 3.0, 200, 200])
+            grid_spec = data.get("grid", list(astuple(DEFAULT_GRID)))
             if len(grid_spec) != 6:
                 raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
             fields = dict(
@@ -230,12 +229,12 @@ def experiment_preset(name: str) -> ExperimentConfig:
 # -- runner -------------------------------------------------------------------
 
 def h1_diagram(cloud):
-    """H1 rips diagram of a cloud, filtered at its diameter so every loop
-    closes before truncation."""
-    params = FiltrationParams(max_homology_dim=1, max_radius=cloud.diameter())
+    """H1 rips diagram of a cloud over its full filtration, so every loop
+    closes; a cloud of one point, or of coincident points, has none."""
     with warnings.catch_warnings():
-        # the lone essential H0 component is structural at this radius
+        # the lone essential H0 component is structural in the full complex
         warnings.filterwarnings("ignore", message=".*essential class.*")
+        params = FiltrationParams(max_homology_dim=1)
         return rips_persistence(cloud, params).restrict(1)
 
 

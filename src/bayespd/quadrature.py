@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import QuadratureError
 
+#: Legendre order of each panel's coarse estimate; the fine one doubles it.
+BASE_ORDER = 12
+
 
 @lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,11 +48,16 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
     return (hx * hy) * np.einsum("pij,ij->p", vals, w2)
 
 
+def _estimates(f, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's fine estimate and its distance to the coarse one."""
+    fine = _panel_estimates(f, panels, 2 * BASE_ORDER)
+    return fine, np.abs(fine - _panel_estimates(f, panels, BASE_ORDER))
+
+
 def adaptive_quad_2d(f: Callable[[np.ndarray], np.ndarray],
                      box: Sequence[float], *,
                      atol: float = 1e-9,
                      rtol: float = 1e-10,
-                     base_order: int = 12,
                      initial_cuts_x: Sequence[float] = (),
                      initial_cuts_y: Sequence[float] = (),
                      max_panels: int = 40000) -> tuple[float, float]:
@@ -85,9 +93,7 @@ def adaptive_quad_2d(f: Callable[[np.ndarray], np.ndarray],
                          for a, b in zip(xs[:-1], xs[1:])
                          for c, d in zip(ys[:-1], ys[1:])], dtype=np.float64)
 
-    fine = _panel_estimates(f, panels, 2 * base_order)
-    coarse = _panel_estimates(f, panels, base_order)
-    errs = np.abs(fine - coarse)
+    fine, errs = _estimates(f, panels)
 
     while True:
         total = math.fsum(fine)
@@ -104,12 +110,10 @@ def adaptive_quad_2d(f: Callable[[np.ndarray], np.ndarray],
         if not np.any(split):
             split[np.argmax(errs)] = True
         children = _split_panels(panels[split])
-        keep_panels, keep_fine, keep_errs = panels[~split], fine[~split], errs[~split]
-        child_fine = _panel_estimates(f, children, 2 * base_order)
-        child_coarse = _panel_estimates(f, children, base_order)
-        panels = np.concatenate([keep_panels, children])
-        fine = np.concatenate([keep_fine, child_fine])
-        errs = np.concatenate([keep_errs, np.abs(child_fine - child_coarse)])
+        child_fine, child_errs = _estimates(f, children)
+        panels = np.concatenate([panels[~split], children])
+        fine = np.concatenate([fine[~split], child_fine])
+        errs = np.concatenate([errs[~split], child_errs])
 
 
 def _grid_coords(lo: float, hi: float, cuts: Sequence[float]) -> np.ndarray:

@@ -237,12 +237,6 @@ def _coboundary_pairs(facets: np.ndarray, n_faces: int, cleared):
     return np.array([owner[t] for t in died.tolist()], dtype=np.int64), died
 
 
-def connected_components(cloud: PointCloud, radius: float) -> int:
-    """Number of connected components of the radius graph (union-find)."""
-    edges = np.argwhere(np.triu(squareform(pdist(cloud.points)) <= radius, 1))
-    return cloud.n_points - len(_union_find(cloud.n_points, edges)[1])
-
-
 # -- point-cloud file I/O ----------------------------------------------------
 
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:

@@ -139,7 +139,7 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
 
 
 def sample_observation(model: ObservationModel, latent: PersistenceDiagram,
-                       rng_seed, *, homology_dim: int | None = None) -> PersistenceDiagram:
+                       rng_seed) -> PersistenceDiagram:
     """Corrupt a latent diagram: alpha-thinning, Gaussian marks, clutter.
 
     Each retained latent point emits one mark from the wedge-truncated
@@ -150,9 +150,7 @@ def sample_observation(model: ObservationModel, latent: PersistenceDiagram,
             f"expected ObservationModel, got {type(model).__name__}")
     rng = as_generator(rng_seed)
 
-    if homology_dim is None:
-        homology_dim = int(latent.dims[0]) if len(latent) else 1
-
+    homology_dim = int(latent.dims[0]) if len(latent) else 1
     kept_mask = rng.random(len(latent)) < model.alpha
     kept = latent.tilted_points[kept_mask]
     marks = _sample_marks(rng, kept, model.likelihood_variance)
@@ -180,30 +178,19 @@ def sample_noisy_circle(n: int = 50, noise_variance: float = 0.01,
 
 def lattice_sites(structure: str, cells: int,
                   lattice_constant: float = 1.0) -> np.ndarray:
-    """Deduplicated site coordinates of a cells^3 supercell.
+    """Site coordinates of a cells^3 supercell, in lexicographic order.
 
     BCC: cube corners plus body centers, (n+1)^3 + n^3 sites.
     FCC: cube corners plus face centers, (n+1)^3 + 3 n^2 (n+1) sites.
-    Sites are built on a half-integer grid (exact dedup) then scaled.
+    Sites are picked on the doubled integer grid, where a corner has no odd
+    coordinate, a face center two and a body center three, then scaled.
     """
-    n = int(cells)
-    corners = [(2 * i, 2 * j, 2 * k)
-               for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
-    if structure == "bcc":
-        extra = [(2 * i + 1, 2 * j + 1, 2 * k + 1)
-                 for i in range(n) for j in range(n) for k in range(n)]
-    elif structure == "fcc":
-        extra = []
-        extra += [(2 * i + 1, 2 * j + 1, 2 * k)
-                  for i in range(n) for j in range(n) for k in range(n + 1)]
-        extra += [(2 * i + 1, 2 * j, 2 * k + 1)
-                  for i in range(n) for j in range(n + 1) for k in range(n)]
-        extra += [(2 * i, 2 * j + 1, 2 * k + 1)
-                  for i in range(n + 1) for j in range(n) for k in range(n)]
-    else:
+    if structure not in ("bcc", "fcc"):
         raise ValidationError(f"structure must be 'bcc' or 'fcc', got {structure!r}")
-    doubled = np.unique(np.asarray(corners + extra, dtype=np.int64), axis=0)
-    return doubled * (0.5 * lattice_constant)
+    doubled = np.indices((2 * int(cells) + 1,) * 3).reshape(3, -1).T
+    odd = np.count_nonzero(doubled % 2, axis=1)
+    keep = (odd == 0) | (odd == (3 if structure == "bcc" else 2))
+    return doubled[keep] * (0.5 * lattice_constant)
 
 
 def sample_lattice(spec: LatticeSpec, rng_seed) -> PointCloud:

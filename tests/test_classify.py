@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      GaussianMixtureIntensity, MixtureComponent,
                      ObservationModel, PersistenceDiagram, PriorSpec,
-                     ValidationError, bayes_factor, bootstrap_auc,
-                     cross_validate, kmeans, kmeans_prior,
-                     log_poisson_density, roc_curve, sample_poisson_pp)
+                     ValidationError, aptlike_observation_model,
+                     bayes_factor, bootstrap_auc, cross_validate, kmeans,
+                     kmeans_prior, log_poisson_density, roc_curve,
+                     sample_poisson_pp)
 from bayespd._util import derived_rng
 from bayespd.classify import KMEANS_RESTARTS, _kmeans_restarts
 
@@ -46,7 +47,12 @@ def test_log_density_counts_permutations():
 
 
 def test_log_density_is_minus_inf_on_unsupported_feature():
-    assert log_poisson_density(UNIT_MASS, diagram_at([(1000.0, 1000.0)])) == -math.inf
+    # the zero intensity supports no feature; a far one stays finite
+    zero = GaussianMixtureIntensity([])
+    assert log_poisson_density(zero, diagram_at([(10.0, 10.0)])) == -math.inf
+    far = log_poisson_density(UNIT_MASS, diagram_at([(1000.0, 1000.0)]))
+    assert far == pytest.approx(-1.0 - 990.0 ** 2 - math.log(2 * math.pi),
+                                rel=1e-15)
 
 
 def test_log_density_modes_agree_on_plain_mixture():
@@ -121,11 +127,94 @@ def test_bayes_factor_threshold():
 
 
 def test_bayes_factor_undecidable():
-    m1, m2 = class_pair()
-    result = bayes_factor(m1, m2, diagram_at([(1000.0, 1000.0)]))
+    # alpha = 1 drops the prior, and the training point is explained by
+    # clutter alone, so its data coefficient underflows to 0: neither
+    # posterior has a term left
+    clutter = GaussianMixtureIntensity([MixtureComponent(1.0, (1000.0, 1000.0), 1.0)])
+    observation = ObservationModel(1.0, 0.5, clutter)
+    m1, m2 = (ClassModel(m.label, m.prior, observation,
+                         (diagram_at([(1000.0, 1000.0)]),))
+              for m in class_pair())
+    result = bayes_factor(m1, m2, diagram_at([(9.1, 10.0)]))
     assert math.isnan(result.log_bf)
     assert result.assignment is None and result.undecidable
     assert result.log_density_1 == -math.inf
+
+
+def test_far_features_are_decided():
+    # Each posterior is one Gaussian of variance 2/21 (alpha 1), with means
+    # 20/21 (0.5, 0.5) apart, so log_bf grows by exactly 10 per unit of t
+    # along (t, t). Without log-sum-exp both densities underflow from t = 10.
+    prior = GaussianMixtureIntensity([MixtureComponent(1.0, (1.0, 1.0), 2.0)])
+    observation = aptlike_observation_model()
+    m1 = ClassModel("a", prior, observation, (diagram_at([(1.0, 1.0)]),))
+    m2 = ClassModel("b", prior, observation, (diagram_at([(0.5, 0.5)]),))
+    near = bayes_factor(m1, m2, diagram_at([(5.0, 5.0)]))
+    assert near.assignment == "a"
+    for t in (10.0, 20.0, 40.0):
+        result = bayes_factor(m1, m2, diagram_at([(t, t)]))
+        assert not result.undecidable and result.assignment == "a"
+        assert math.isfinite(result.log_density_1)
+        assert math.isfinite(result.log_density_2)
+        assert result.log_bf == pytest.approx(near.log_bf + 10.0 * (t - 5.0),
+                                              abs=1e-9)
+
+
+def random_class_specs(rng, n_components):
+    """(label, prior components, training point sets) of two classes."""
+    return [(label,
+             [MixtureComponent(float(rng.uniform(0.1, 3.0)),
+                               tuple(rng.uniform(0.0, 3.0, 2)),
+                               float(rng.uniform(0.05, 1.0)))
+              for _ in range(n_components)],
+             [rng.uniform(0.0, 3.0, (int(rng.integers(1, 6)), 2))
+              for _ in range(int(rng.integers(1, 4)))])
+            for label in ("one", "two")]
+
+
+def class_model(spec, alpha, order=None):
+    """The class model of ``spec``; a generator ``order`` reorders its prior
+    components, its training diagrams and the points of each."""
+    label, components, training = spec
+    if order is not None:
+        components = [components[i] for i in order.permutation(len(components))]
+        training = [training[i][order.permutation(len(training[i]))]
+                    for i in order.permutation(len(training))]
+    observation = ObservationModel(alpha, 0.1, GaussianMixtureIntensity(
+        [MixtureComponent(0.5, (0.5, 0.0), 0.2)]))
+    return ClassModel(label, GaussianMixtureIntensity(components), observation,
+                      tuple(diagram_at(pts) for pts in training))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       n_components=st.integers(1, 6), n_features=st.integers(1, 6))
+def test_log_bf_is_invariant_under_permutation(seed, alpha, n_components,
+                                               n_features):
+    rng = np.random.default_rng(seed)
+    specs = random_class_specs(rng, n_components)
+    # mostly near the training data, where many terms share the sum
+    pts = rng.uniform(0.0, rng.choice([4.0, 40.0], p=[0.8, 0.2]), (n_features, 2))
+    result = bayes_factor(*(class_model(spec, alpha) for spec in specs),
+                          diagram_at(pts))
+    permuted = bayes_factor(*(class_model(spec, alpha, rng) for spec in specs),
+                            diagram_at(pts[rng.permutation(n_features)]))
+    assert np.sign(permuted.log_bf) == np.sign(result.log_bf)
+    assert permuted == result
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       scale=st.sampled_from([1.0, 1e2, 1e4]),
+       mode=st.sampled_from(["paper-literal", "mass-consistent"]))
+def test_no_in_wedge_feature_is_undecidable(seed, alpha, scale, mode):
+    rng = np.random.default_rng(seed)
+    m1, m2 = (class_model(spec, alpha)
+              for spec in random_class_specs(rng, int(rng.integers(1, 4))))
+    pts = rng.uniform(0.0, scale, (int(rng.integers(1, 5)), 2))
+    pts[rng.random(pts.shape) < 0.2] = 0.0  # features on the wedge's edges
+    result = bayes_factor(m1, m2, diagram_at(pts), mode=mode)
+    assert not result.undecidable and math.isfinite(result.log_bf)
 
 
 def test_class_model_requires_training():

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bayespd import (PersistenceDiagram, ValidationError, read_diagram,
-                     read_diagram_csv, read_diagram_json, tilt, untilt,
-                     write_diagram, write_diagram_csv, write_diagram_json)
+                     read_diagram_csv, read_diagram_json, write_diagram,
+                     write_diagram_csv, write_diagram_json)
 
 
 def random_diagram(rng, n=20):
@@ -71,7 +73,8 @@ def test_validation_errors():
 
 
 def test_infinite_deaths_dropped_with_counter():
-    with pytest.warns(UserWarning, match="2 feature"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         d = PersistenceDiagram.from_birth_death(
             [0.0, 0.5, 1.0], [np.inf, 2.0, np.inf], [0, 1, 0])
     assert len(d) == 1
@@ -104,30 +107,6 @@ def test_equality_counts_multiplicity():
     b = PersistenceDiagram([0], [1], [1])
     assert a != b
     assert a != PersistenceDiagram([0, 0], [1, 1], [1, 0])
-
-
-# -- tilt / untilt array maps --------------------------------------------------
-
-def test_tilt_untilt_examples():
-    np.testing.assert_array_equal(tilt([[1.0, 1.0]]), [[1.0, 0.0]])
-    np.testing.assert_array_equal(untilt([[1.0, 0.0]]), [[1.0, 1.0]])
-    np.testing.assert_array_equal(tilt([[0.5, 1.7]]), [[0.5, 1.2]])
-
-
-def test_tilt_untilt_random_round_trip():
-    rng = np.random.default_rng(5)
-    tilted = rng.uniform(0.0, 4.0, (200, 2))
-    np.testing.assert_array_equal(tilt(untilt(tilted))[:, 0], tilted[:, 0])
-    np.testing.assert_allclose(tilt(untilt(tilted))[:, 1], tilted[:, 1],
-                               rtol=0, atol=1e-15)
-
-
-def test_tilt_rejects_below_diagonal():
-    with pytest.raises(ValidationError) as info:
-        tilt([[1.0, 0.5]])
-    assert str(info.value) == "pair 0: death < birth (0.5 < 1.0)"
-    with pytest.raises(ValidationError):
-        untilt([[-0.1, 0.0]])
 
 
 # -- disk round trips ----------------------------------------------------------

@@ -197,7 +197,7 @@ def test_blocked_evaluation_matches_one_shot_formula_bitwise(
 
     prior = random_mixture(rng, 3)
     alpha, m = float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 50))
-    post = PosteriorIntensity(prior, alpha, 0.01, m, mix.weights, mix.means,
+    post = PosteriorIntensity(prior, alpha, m, mix.weights, mix.means,
                               mix.variances)
     expected = ((1.0 - alpha) * one_shot_mixture(x, prior.weights, prior.means,
                                                  prior.variances)
@@ -235,12 +235,42 @@ def test_evaluate_is_bitwise_invariant_under_component_permutation(
     prior_order = rng.permutation(min(n_components, 4))
 
     def posterior(order, prior_order):
-        return PosteriorIntensity(mixture(prior_order), 0.5, 0.01, 3,
+        return PosteriorIntensity(mixture(prior_order), 0.5, 3,
                                   weights[order], means[order], variances[order])
 
     expected = posterior(identity, np.arange(len(prior_order))).evaluate(pts)
     np.testing.assert_array_equal(
         posterior(perm, prior_order).evaluate(pts), expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_components=st.integers(1, 60),
+       alpha=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+       spread=st.sampled_from([1.0, 10.0, 40.0]))
+def test_log_evaluate_matches_log_of_evaluate(seed, n_components, alpha, spread):
+    # compared wherever evaluate is a normal float; elsewhere log_evaluate
+    # stays finite inside the wedge and is -inf outside it
+    rng = np.random.default_rng(seed)
+    prior = random_mixture(rng, int(rng.integers(1, 4)))
+    data = random_mixture(rng, n_components)
+    post = PosteriorIntensity(prior, alpha, int(rng.integers(1, 20)), data.weights,
+                              data.means, data.variances)
+    pts = rng.uniform(-0.5, spread, (500, 2))
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    for intensity in (data, post):
+        values, logs = intensity.evaluate(pts), intensity.log_evaluate(pts)
+        normal = values >= np.finfo(np.float64).tiny
+        assert np.all(np.abs(logs[normal] - np.log(values[normal]))
+                      <= 1e-14 * np.maximum(1.0, np.abs(np.log(values[normal]))))
+        inside = in_wedge(pts)
+        assert np.all(np.isfinite(logs[inside]))
+        assert np.all(logs[~inside] == -np.inf)
+    assert GaussianMixtureIntensity().log_evaluate((1.0, 1.0)) == -np.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        # squared distances overflow here, so every term is exactly 0
+        far = (1e200, 1e200)
+        assert post.log_evaluate(far) == np.log(post.evaluate(far)) == -np.inf
+    assert isinstance(post.log_evaluate(pts[0]), float)
 
 
 def test_grid_evaluation_memory_is_bounded():

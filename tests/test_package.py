@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import bayespd
 
 
@@ -7,3 +10,17 @@ def test_all_names_resolve_without_duplicates():
     namespace: dict = {}
     exec("from bayespd import *", namespace)
     assert set(bayespd.__all__) <= set(namespace)
+
+
+def test_benchmark_bound_names_exist():
+    # The benchmark rebinds these names to time each layer; deleting one
+    # breaks it, so check them in this suite as well.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in spans.bindings() if attr not in vars(owner)]
+    assert missing == []
+    assert callable(bayespd.rips._build_filtration)
+    assert callable(bayespd.rips.PointCloud.diameter)

@@ -188,7 +188,7 @@ def per_point_posterior(prior, model, observations):
             coeffs.append(w / denom)
             means.append(post_mean)
             variances.append(post_var)
-    return PosteriorIntensity(prior, alpha, lv, m, np.concatenate(coeffs),
+    return PosteriorIntensity(prior, alpha, m, np.concatenate(coeffs),
                               np.concatenate(means), np.concatenate(variances))
 
 

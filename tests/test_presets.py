@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bayespd import (CASE_PRESETS, PRIOR_PRESETS, ExperimentConfig,
-                     UsageError, ValidationError, aptlike_observation_model,
-                     case_observation_model, experiment_preset,
-                     experiment_presets, h1_diagram, prior_preset,
-                     run_experiment, sample_noisy_circle)
+                     PointCloud, UsageError, ValidationError,
+                     aptlike_observation_model, case_observation_model,
+                     experiment_preset, experiment_presets, h1_diagram,
+                     prior_preset, run_experiment, sample_noisy_circle)
 
 
 def test_prior_presets_complete():
@@ -91,6 +91,12 @@ def test_h1_diagram_is_quiet_and_restricted():
         diagram = h1_diagram(cloud)
     assert diagram.homology_dims.tolist() in ([], [1])
     assert len(diagram) >= 1
+
+
+def test_h1_diagram_of_a_point_or_coincident_points_is_empty():
+    for points in ([[0.5, 1.0, 2.0]], [[0.5, 1.0], [0.5, 1.0]]):
+        diagram = h1_diagram(PointCloud(np.array(points)))
+        assert len(diagram) == 0
 
 
 def small_circle_config(name="case1-informative", **overrides):

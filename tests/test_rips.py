@@ -12,8 +12,7 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 from scipy.spatial.distance import pdist, squareform
 
 from bayespd import (FiltrationParams, PointCloud, SimplexBudgetError,
-                     ValidationError, connected_components,
-                     read_point_cloud_csv, rips_persistence,
+                     ValidationError, read_point_cloud_csv, rips_persistence,
                      write_point_cloud_csv)
 
 
@@ -112,7 +111,6 @@ def test_h0_matches_component_oracle():
         for radius in [0.05, 0.1, 0.2, 0.4, 0.8]:
             merged = int(np.count_nonzero(d.deaths <= radius))
             assert n - merged == brute_components(pts, radius)
-            assert n - merged == connected_components(PointCloud(pts), radius)
 
 
 def test_h0_births_all_zero():

@@ -106,9 +106,6 @@ def test_observation_homology_dim_inherited():
     latent = PersistenceDiagram.from_tilted([1.0], [1.0], [2])
     obs = sample_observation(ObservationModel(1.0, 1e-6), latent, 0)
     assert np.all(obs.dims == 2)
-    forced = sample_observation(ObservationModel(1.0, 1e-6), latent, 0,
-                                homology_dim=0)
-    assert np.all(forced.dims == 0)
     empty = sample_observation(ObservationModel(1.0, 1e-6),
                                PersistenceDiagram.empty(), 0)
     assert len(empty) == 0 and empty.homology_dims.tolist() == []
