@@ -163,7 +163,7 @@ def _cmd_posterior(args) -> int:
     if args.scaled:
         values = scaled_intensity_grid(posterior, grid)
     else:
-        values = posterior.evaluate(grid.mesh())
+        values = posterior.evaluate_grid(grid)
     write_grid_csv(args.out, grid, values)
     masses = mass_summary(posterior)
     if args.summary:

@@ -23,8 +23,8 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-#: Point-component cells ``mixture_sum`` evaluates at once. It bounds the
-#: kernel's working memory whatever the number of points and components.
+#: Point- or axis-value-component cells the mixture kernels evaluate at once.
+#: It bounds their working memory whatever the number of points and components.
 BLOCK_CELLS = 1 << 16
 
 
@@ -75,8 +75,9 @@ def _blockwise(points, means, variances, reduce, outside) -> np.ndarray:
         step = max(1, BLOCK_CELLS // len(means))
         for start in range(0, len(pts), step):
             block = pts[start:start + step]
-            terms = (block[:, 0, None] - means[:, 0]) ** 2
-            terms += (block[:, 1, None] - means[:, 1]) ** 2
+            with np.errstate(over="ignore"):  # an overflowing square is inf: exp 0
+                terms = (block[:, 0, None] - means[:, 0]) ** 2
+                terms += (block[:, 1, None] - means[:, 1]) ** 2
             terms *= -0.5
             terms /= variances
             out[start:start + step] = reduce(terms)
@@ -99,6 +100,25 @@ def mixture_sum(points, weights, means, variances) -> np.ndarray:
         return terms.sum(axis=-1)
 
     return _blockwise(points, means, variances, total, 0.0)
+
+
+def grid_mixture_sum(xs, ys, weights, means, variances) -> np.ndarray:
+    """``mixture_sum`` on the tensor grid of the axis arrays ``xs`` (nx,) and
+    ``ys`` (ny,), shape (ny, nx). An isotropic Gaussian factors over the
+    axes, so each block of ``BLOCK_CELLS // (nx + ny)`` components, in the
+    order given, costs one exp per axis value and component and one BLAS-free
+    ``np.einsum`` over the components: no thread count changes a bit."""
+    out = np.zeros((len(ys), len(xs)))
+    step = max(1, BLOCK_CELLS // (len(xs) + len(ys)))
+    with np.errstate(over="ignore"):  # an overflowing square is inf: exp 0
+        for start in range(0, len(weights), step):
+            part = slice(start, start + step)
+            v = variances[part]
+            e_x = np.exp(-0.5 * (xs[:, None] - means[part, 0]) ** 2 / v)
+            e_y = (np.exp(-0.5 * (ys[:, None] - means[part, 1]) ** 2 / v)
+                   * (weights[part] / (TWO_PI * v)))
+            out += np.einsum("yk,xk->yx", e_y, e_x)
+    return np.where((ys[:, None] >= 0.0) & (xs >= 0.0), out, 0.0)
 
 
 def log_mixture_sum(points, weights, means, variances) -> np.ndarray:
@@ -228,6 +248,10 @@ class GaussianMixtureIntensity:
         permutation.
         """
         return mixture_sum(x, *self._terms)
+
+    def evaluate_grid(self, grid) -> np.ndarray:
+        """``evaluate`` on the (ny, nx) cells of ``grid``, separably."""
+        return grid_mixture_sum(grid.x_axis, grid.y_axis, *self._terms)
 
     def log_evaluate(self, x) -> np.ndarray:
         """Natural log of ``evaluate``, finite wherever the mixture is

@@ -36,9 +36,9 @@ import numpy as np
 from ._util import as_finite, field_errors, write_csv
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
-from .intensity import (GaussianMixtureIntensity, canonical_terms,
-                        gaussian_density, gaussian_product, in_wedge,
-                        log_mixture_sum, mixture_sum, wedge_gaussian_mass)
+from .intensity import (GaussianMixtureIntensity, canonical_terms, gaussian_density,
+                        gaussian_product, grid_mixture_sum, in_wedge, log_mixture_sum,
+                        mixture_sum, wedge_gaussian_mass)
 from .quadrature import adaptive_quad_2d
 
 #: Gaussian support is truncated at mean +- TAIL_SIGMAS standard deviations
@@ -130,6 +130,12 @@ class PosteriorIntensity:
         """
         data = mixture_sum(x, *self._terms)
         return ((1.0 - self.alpha) * self.prior.evaluate(x)
+                + (self.alpha / self.observation_count) * data)
+
+    def evaluate_grid(self, grid) -> np.ndarray:
+        """``evaluate`` on ``grid``, separably; alpha = 0 gives the prior's bits."""
+        data = grid_mixture_sum(grid.x_axis, grid.y_axis, *self._terms)
+        return ((1.0 - self.alpha) * self.prior.evaluate_grid(grid)
                 + (self.alpha / self.observation_count) * data)
 
     def log_evaluate(self, x) -> np.ndarray:
@@ -256,7 +262,7 @@ class Grid:
 def scaled_intensity_grid(intensity, grid: Grid) -> np.ndarray:
     """Evaluate on the grid and scale so the maximum is 1 (zero field stays
     zero)."""
-    values = intensity.evaluate(grid.mesh())
+    values = intensity.evaluate_grid(grid)
     peak = float(np.max(values))
     if peak > 0.0:
         values = values / peak

@@ -56,12 +56,14 @@ def test_criterion_01_closed_form_matches_quadrature_oracle():
         model = ObservationModel(alpha, lv, TABLE_CLUTTER)
         diagrams = [diagram_at(rng.uniform(0.05, 2.5, (int(rng.integers(1, 11)), 2)))
                     for _ in range(int(rng.integers(1, 4)))]
-        closed = posterior_closed_form(prior, model, diagrams).evaluate(mesh)
+        post = posterior_closed_form(prior, model, diagrams)
         numeric = posterior_numeric_oracle(prior, model, diagrams, grid)
-        big = np.maximum(closed, numeric)
-        mask = big > 1e-12
-        assert mask.any()
-        worst = max(worst, float((np.abs(closed - numeric)[mask] / big[mask]).max()))
+        # the point evaluator on the mesh and the separable grid evaluator
+        for closed in (post.evaluate(mesh), post.evaluate_grid(grid)):
+            big = np.maximum(closed, numeric)
+            mask = big > 1e-12
+            assert mask.any()
+            worst = max(worst, float((np.abs(closed - numeric)[mask] / big[mask]).max()))
     elapsed = time.monotonic() - start
     assert worst < 1e-6, f"worst relative error {worst:.3e}"
     assert elapsed < 300.0

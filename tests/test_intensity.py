@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -266,11 +270,120 @@ def test_log_evaluate_matches_log_of_evaluate(seed, n_components, alpha, spread)
         assert np.all(np.isfinite(logs[inside]))
         assert np.all(logs[~inside] == -np.inf)
     assert GaussianMixtureIntensity().log_evaluate((1.0, 1.0)) == -np.inf
-    with np.errstate(over="ignore", divide="ignore"):
-        # squared distances overflow here, so every term is exactly 0
+    with np.errstate(divide="ignore"):
+        # squared distances are inf here, so every term is exactly 0
         far = (1e200, 1e200)
         assert post.log_evaluate(far) == np.log(post.evaluate(far)) == -np.inf
     assert isinstance(post.log_evaluate(pts[0]), float)
+
+
+def random_posterior(rng, n_components, alpha):
+    prior = random_mixture(rng, int(rng.integers(1, 4)))
+    data = random_mixture(rng, n_components)
+    return PosteriorIntensity(prior, alpha, int(rng.integers(1, 20)),
+                              data.weights, data.means, data.variances)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_components=st.one_of(st.integers(1, 60), st.integers(300, 1200)),
+       nx=st.integers(10, 60), ny=st.integers(10, 60),
+       alpha=st.sampled_from([0.0, 0.3, 1.0]),
+       zero_line=st.booleans())
+def test_evaluate_grid_matches_evaluate_on_the_mesh(seed, n_components, nx, ny,
+                                                    alpha, zero_line):
+    # Grids straddle 0, with a grid line on 0 itself when zero_line is set;
+    # above 300 components the separable kernel walks several blocks.
+    rng = np.random.default_rng(seed)
+    post = random_posterior(rng, n_components, alpha)
+    data = GaussianMixtureIntensity(
+        MixtureComponent(w, tuple(m), v)
+        for w, m, v in zip(post.coefficients, post.means, post.variances))
+    if zero_line:  # steps of 1/16 from -1/4: the fifth line is exactly 0
+        grid = Grid(-0.25, (nx - 5) / 16, -0.25, (ny - 5) / 16, nx, ny)
+    else:
+        x0, y0 = rng.uniform(-1.0, -0.01, 2)
+        x1, y1 = rng.uniform(2.5, 3.5, 2)
+        grid = Grid(float(x0), float(x1), float(y0), float(y1), nx, ny)
+    for intensity in (post.prior, data, post):
+        got = intensity.evaluate_grid(grid)
+        ref = intensity.evaluate(grid.mesh())
+        assert got.shape == (ny, nx)
+        rel = np.abs(got - ref) / np.where(ref > 0.0, ref, 1.0)
+        assert np.all(rel[ref >= 1e-12 * ref.max()] <= 1e-14)
+        assert np.all(rel[ref >= 1e-300] <= 1e-12)
+        negative = (grid.y_axis[:, None] < 0.0) | (grid.x_axis < 0.0)
+        assert np.all(got[negative] == 0.0)
+        assert np.all(got[~negative] >= 0.0)
+    np.testing.assert_array_equal(
+        PosteriorIntensity(post.prior, 0.0, post.observation_count,
+                           post.coefficients, post.means,
+                           post.variances).evaluate_grid(grid),
+        post.prior.evaluate_grid(grid))
+    perm = rng.permutation(n_components)
+    np.testing.assert_array_equal(
+        GaussianMixtureIntensity(data.components[i] for i in perm).evaluate_grid(grid),
+        data.evaluate_grid(grid))
+    prior = GaussianMixtureIntensity(post.prior.components[::-1])
+    shuffled = PosteriorIntensity(prior, alpha, post.observation_count,
+                                  post.coefficients[perm], post.means[perm],
+                                  post.variances[perm])
+    np.testing.assert_array_equal(shuffled.evaluate_grid(grid),
+                                  post.evaluate_grid(grid))
+
+
+def test_far_points_evaluate_to_zero_without_warnings():
+    # coordinates whose squared distances overflow to inf
+    post = random_posterior(np.random.default_rng(5), 4, 0.5)
+    grid = Grid(1e200, 2e200, 1e200, 2e200, 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for intensity in (post.prior, post):
+            assert intensity.evaluate((1e200, 1e200)) == 0.0
+            assert intensity.log_evaluate((1e200, 1e200)) == -np.inf
+            np.testing.assert_array_equal(intensity.evaluate_grid(grid),
+                                          np.zeros((4, 4)))
+
+
+GRID_DIGEST = """
+import hashlib, sys
+import numpy as np
+from bayespd import Grid
+sys.path.insert(0, sys.argv[1])
+from test_intensity import random_posterior
+post = random_posterior(np.random.default_rng(13), 972, 0.7)
+for n in (200, 100):
+    grid = post.evaluate_grid(Grid(-0.1, 3.0, -0.1, 3.0, n, n))
+    print(hashlib.sha256(grid.tobytes()).hexdigest())
+"""
+
+
+def test_evaluate_grid_bits_do_not_depend_on_blas_threads():
+    # With OpenBLAS 0.3.31 on a 2-core x86_64 host, a BLAS matmul over
+    # blocks of 327 components (the 100x100 grid) or over all 972 at once
+    # gave different bits at 1 and 2 threads.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", GRID_DIGEST, here], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1
+
+
+def test_evaluate_grid_memory_is_bounded():
+    # unblocked, the two (axis x components) exp tables alone take 16 MB
+    mix = random_mixture(np.random.default_rng(73), 5000)
+    grid = Grid(0.0, 3.0, 0.0, 3.0, 200, 200)
+    tracemalloc.start()
+    try:
+        mix.evaluate_grid(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grid_evaluation_memory_is_bounded():

@@ -284,8 +284,8 @@ def test_scaled_grid_peaks_at_one():
     values = scaled_intensity_grid(post, grid)
     assert values.shape == (50, 60)
     assert values.max() == 1.0
-    np.testing.assert_array_equal(values,
-                                  post.evaluate(grid.mesh()) / post.evaluate(grid.mesh()).max())
+    unscaled = post.evaluate_grid(grid)
+    np.testing.assert_array_equal(values, unscaled / unscaled.max())
 
 
 def test_scaled_grid_of_zero_field_stays_zero():
