@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._util import field_errors, from_json, write_json
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+SQRT_HALF = math.sqrt(0.5)
 
 #: Point- or axis-value-component cells the mixture kernels evaluate at once.
 #: It bounds their working memory whatever the number of points and components.
@@ -146,15 +146,21 @@ def wedge_gaussian_mass(mean, variance):
     """Mass of an isotropic Gaussian inside the closed first quadrant.
 
     For mean (m1, m2) and variance v this is Phi(m1/sqrt(v)) * Phi(m2/sqrt(v)),
-    exact because the isotropic density factorizes over coordinates.
-    Broadcasts over leading axes of ``mean`` (..., 2) and ``variance`` (...).
+    exact because the isotropic density factorizes over coordinates. Phi(z)
+    is 0.5 * erfc(-z * sqrt(1/2)) by ``math.erfc`` on each value: within
+    about 6e-14 relative of the Cephes ``ndtr`` wherever it is a normal
+    float, and exact at 0, +-inf and NaN. Broadcasts over leading axes of
+    ``mean`` (..., 2) and ``variance`` (...); a 0-d result is a ``float``.
     """
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
     if np.any(variance <= 0) or np.any(~np.isfinite(variance)):
         raise ValidationError("variance must be finite and > 0")
-    sd = np.sqrt(variance)
-    out = ndtr(mean[..., 0] / sd) * ndtr(mean[..., 1] / sd)
+    z = mean / np.sqrt(variance)[..., None]
+    erfc = np.fromiter(map(math.erfc, (z * -SQRT_HALF).ravel().tolist()),
+                       np.float64, z.size)
+    phi = 0.5 * erfc.reshape(z.shape)
+    out = phi[..., 0] * phi[..., 1]
     return float(out) if out.ndim == 0 else out
 
 

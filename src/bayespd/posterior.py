@@ -108,8 +108,7 @@ class PosteriorIntensity:
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.means = np.asarray(means, dtype=np.float64).reshape(-1, 2)
         self.variances = np.asarray(variances, dtype=np.float64)
-        self._component_masses = self.coefficients * wedge_gaussian_mass(
-            self.means, self.variances)
+        self._component_masses = None  # C_t Q_t, on first data_term_mass
         self._terms = canonical_terms(self.coefficients, self.means, self.variances)
         # one term list for log_evaluate: retained prior and data together
         weights = np.concatenate([(1.0 - self.alpha) * prior.weights,
@@ -150,6 +149,9 @@ class PosteriorIntensity:
 
     def data_term_mass(self) -> float:
         """Mass of the observation-driven term, alpha/m * sum C_t Q_t."""
+        if self._component_masses is None:
+            self._component_masses = self.coefficients * wedge_gaussian_mass(
+                self.means, self.variances)
         return (self.alpha / self.observation_count) * math.fsum(
             self._component_masses)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from ._util import write_csv
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
@@ -51,7 +50,7 @@ class PointCloud:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        return float(np.max(pdist(self.points), initial=0.0))
+        return float(_distance_matrix(self.points).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,11 @@ def rips_persistence(cloud: PointCloud,
 def _build_filtration(cloud: PointCloud, params: FiltrationParams):
     """Every simplex of diameter <= max_radius up to dimension K+1, as an
     (N, K+2) vertex array padded with -1 (the vertices, then the edges and
-    so on, each dimension in lexicographic order) and the N diameters."""
+    so on, each dimension in lexicographic order) and the N diameters,
+    each the largest of its vertices' ``_distance_matrix`` entries."""
     n = cloud.n_points
     _check_budget(n, params.simplex_budget)
-    dist = squareform(pdist(cloud.points))
+    dist = _distance_matrix(cloud.points)
     adjacency = dist <= params.max_radius
     np.fill_diagonal(adjacency, False)
     layers = [np.arange(n)[:, None]]
@@ -141,6 +141,20 @@ def _build_filtration(cloud: PointCloud, params: FiltrationParams):
                 for a, b in combinations(range(layer.shape[1]), 2)], axis=0)
         for layer in layers[1:]])
     return simplices, values
+
+
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``points`` as an (n, n)
+    matrix, bit for bit ``squareform(pdist(points))``: from zero, the squared
+    difference along each axis is added in axis order, then one square root
+    is taken. Peak memory is two (n, n) arrays, whatever the dimension."""
+    n = len(points)
+    dist, term = np.zeros((n, n)), np.empty((n, n))
+    for axis in points.T:
+        np.subtract(axis[:, None], axis, out=term)
+        np.multiply(term, term, out=term)
+        dist += term
+    return np.sqrt(dist, out=dist)
 
 
 def _cofaces(faces: np.ndarray, adjacency: np.ndarray, count: int,

@@ -81,6 +81,37 @@ def test_wedge_mass_factorizes():
     assert wedge_gaussian_mass(mean, var) == pytest.approx(expected, rel=1e-15)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       special_fraction=st.sampled_from([0.0, 0.1, 0.5]))
+def test_wedge_mass_matches_scipy_ndtr(seed, n, special_fraction):
+    # scipy's ndtr is the oracle only; the package computes Phi by math.erfc
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(seed)
+    variance = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    sd = np.sqrt(variance)
+    # standardized coordinates from the far lower tail, where the product
+    # leaves the normal floats, to where each factor rounds to 1
+    mean = rng.uniform(-40.0, 10.0, (n, 2)) * sd[:, None]
+    special = rng.random((n, 2)) < special_fraction
+    mean[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], np.count_nonzero(special))
+    expected = ndtr(mean[:, 0] / sd) * ndtr(mean[:, 1] / sd)
+    got = wedge_gaussian_mass(mean, variance)
+    assert got.shape == (n,)
+
+    normal = expected >= np.finfo(np.float64).tiny
+    rel = np.abs(got[normal] - expected[normal]) / expected[normal]
+    assert np.all(rel <= 1e-13), rel.max()
+    both = special.all(axis=1)
+    np.testing.assert_array_equal(got[both], expected[both])
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+    scalar = wedge_gaussian_mass(tuple(mean[0]), variance[0])
+    assert type(scalar) is float
+    assert scalar == got[0]
+
+
 def test_wedge_mass_monte_carlo_small():
     rng = np.random.default_rng(17)
     for _ in range(5):

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bayespd
@@ -24,3 +27,15 @@ def test_benchmark_bound_names_exist():
     assert missing == []
     assert callable(bayespd.rips._build_filtration)
     assert callable(bayespd.rips.PointCloud.diameter)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would add about half a
+    # second to every command-line call
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, bayespd.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "[]"

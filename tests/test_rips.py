@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 from bayespd import (FiltrationParams, PointCloud, SimplexBudgetError,
                      ValidationError, read_point_cloud_csv, rips_persistence,
                      write_point_cloud_csv)
+from bayespd.rips import _distance_matrix
 
 
 def rips(points, max_dim=1, max_radius=np.inf, quiet=True):
@@ -222,6 +223,19 @@ def test_point_cloud_validation():
     assert cloud.n_points == 2
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       dim=st.integers(1, 3), scale=st.floats(1e-3, 1e3))
+def test_distance_matrix_is_pdist_bit_for_bit(seed, n, dim, scale):
+    # the filtration values and the radius cut both come from these distances
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0.0, scale, (n, dim)) + rng.uniform(-scale, scale, dim)
+    points[rng.random(n) < 0.1] = points[0]
+    expected = squareform(pdist(points))
+    assert _distance_matrix(points).tobytes() == expected.tobytes()
+    assert PointCloud(points).diameter() == np.max(pdist(points), initial=0.0)
 
 
 # -- disk round trip -----------------------------------------------------------
