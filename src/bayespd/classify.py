@@ -140,56 +140,70 @@ def _kmeans_restarts(points: np.ndarray, k: int,
     """Every restart's centers, shape (k, 2, restarts), and inertias. The
     k-means++ seedings are drawn in turn; Lloyd draws no random numbers, so
     all restarts then step together, each leaving at the step its labels stop
-    changing. A cluster mean adds its members in point order, as
-    ``points[members].mean(axis=0)`` does: the masked sum keeps the coordinate
-    axis inside, or numpy would sum a lone restart's column pairwise."""
+    changing. The (restarts, n) work arrays are allocated once, live restarts
+    in their leading rows. A cluster mean adds its members in point order from
+    +0.0, as ``points[members].mean(axis=0)`` does, by ``np.bincount``."""
     n = len(points)
-    centers = np.empty((k, 2, KMEANS_RESTARTS))
-    for seeds in np.moveaxis(centers, 2, 0):  # views of each restart's centers
+    centers = np.empty((KMEANS_RESTARTS, k, 2))
+    for seeds in centers:
         seeds[0] = points[rng.integers(n)]
         d2 = squared_distance(points, seeds[0])
         for j in range(1, k):
-            total = math.fsum(d2)
+            total = math.fsum(d2.tolist())
             if total <= 0.0:
                 seeds[j] = points[rng.integers(n)]
             else:
                 seeds[j] = points[rng.choice(n, p=d2 / total)]
             d2 = np.minimum(d2, squared_distance(points, seeds[j]))
 
-    def nearest(c):  # first closest of the (k, 2, L) centers, distance to it
-        c = np.moveaxis(c, 1, -1)
-        d2 = squared_distance(points[:, None], c[0])
-        labels = np.zeros(d2.shape, dtype=np.int64)
-        for j in range(1, k):
-            dj = squared_distance(points[:, None], c[j])
-            labels[dj < d2] = j
-            np.minimum(d2, dj, out=d2)
-        return labels, d2
+    px, py = np.ascontiguousarray(points.T)
+    d2, dj, scratch = np.empty((3, KMEANS_RESTARTS, n))
+    labels, previous = np.zeros((2, KMEANS_RESTARTS, n), dtype=np.int64)
+    mask = np.empty((KMEANS_RESTARTS, n), dtype=bool)
+    bins = k * np.arange(KMEANS_RESTARTS)[:, None]  # each restart's first bin
 
-    live = np.arange(KMEANS_RESTARTS)
-    assign = np.zeros((n, KMEANS_RESTARTS), dtype=np.int64)
-    for _ in range(300):
-        c = centers[:, :, live]
-        new_assign, d2 = nearest(c)
+    def nearest(c):  # first closest of the (L, k, 2) centers into labels[:L]
+        L = len(c)  # and the distance to it into d2[:L], as squared_distance
+        labels[:L], tmp = 0, scratch[:L]
         for j in range(k):
-            members = new_assign == j
-            counts = np.count_nonzero(members, axis=0)
-            # -0.0 is the additive identity, so non-members change no bit
-            sums = np.where(members[:, None], points[:, :, None], -0.0).sum(axis=0)
-            np.divide(sums, counts, out=c[j], where=counts > 0)
-            for r in np.flatnonzero(counts == 0):
-                # re-seed an empty cluster at the point farthest from its center
-                worst = int(np.argmax(d2[:, r]))
-                c[j, :, r] = points[worst]
-                new_assign[worst, r] = j
-        moved = np.any(new_assign != assign, axis=0)
-        centers[:, :, live] = c
-        live, assign = live[moved], new_assign[:, moved]
+            out = dj[:L] if j else d2[:L]
+            np.square(np.subtract(px, c[:, j, 0, None], out=out), out=out)
+            out += np.square(np.subtract(py, c[:, j, 1, None], out=tmp), out=tmp)
+            if j:
+                np.copyto(labels[:L], j, where=np.less(out, d2[:L], out=mask[:L]))
+                np.minimum(d2[:L], out, out=d2[:L])
+
+    live, c = np.arange(KMEANS_RESTARTS), centers.copy()
+    for _ in range(300):
+        L = len(live)
+        nearest(c)
+        new = np.add(labels[:L], bins[:L], out=labels[:L])  # bin of each label
+        counts = np.bincount(new.ravel(), minlength=k * L).reshape(L, k)
+        for axis, weights in enumerate((px, py)):
+            np.copyto(dj[:L], weights)  # each row's copy of the coordinate
+            sums = np.bincount(new.ravel(), dj[:L].ravel(), k * L).reshape(L, k)
+            np.divide(sums, counts, out=c[:, :, axis], where=counts > 0)
+        new -= bins[:L]
+        for r in np.flatnonzero(np.any(counts == 0, axis=1)):
+            # redo it cluster by cluster: an empty one takes the farthest
+            # point, whose label moves before later clusters average
+            for j in range(k):
+                members = new[r] == j
+                if members.any():
+                    c[r, j] = points[members].mean(axis=0)
+                else:
+                    worst = int(np.argmax(d2[r]))
+                    c[r, j] = points[worst]
+                    new[r, worst] = j
+        moved = np.any(np.not_equal(new, previous[:L], out=mask[:L]), axis=1)
+        centers[live] = c
+        live, c = live[moved], c[moved]
+        np.compress(moved, new, axis=0, out=previous[:len(live)])
         if not len(live):
             break
     # each restart's inertia is a pairwise sum over a contiguous row
-    inertias = np.sum(np.ascontiguousarray(nearest(centers)[1].T), axis=1)
-    return centers, inertias
+    nearest(centers)
+    return np.moveaxis(centers, 0, 2), d2.sum(axis=1)
 
 
 def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:

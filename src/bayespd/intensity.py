@@ -225,7 +225,8 @@ class GaussianMixtureIntensity:
     The empty mixture is the zero intensity (useful as "no clutter").
     """
 
-    __slots__ = ("components", "weights", "means", "variances", "_terms")
+    __slots__ = ("components", "weights", "means", "variances", "_terms",
+                 "_masses", "_total")
 
     def __init__(self, components: Iterable[MixtureComponent] = ()):
         components = tuple(components)
@@ -242,6 +243,7 @@ class GaussianMixtureIntensity:
         for arr in (self.weights, self.means, self.variances):
             arr.flags.writeable = False
         self._terms = canonical_terms(self.weights, self.means, self.variances)
+        self._masses = self._total = None  # on first use
 
     def __len__(self) -> int:
         return len(self.components)
@@ -265,8 +267,12 @@ class GaussianMixtureIntensity:
         return log_mixture_sum(x, *self._terms)
 
     def component_masses(self) -> np.ndarray:
-        """Per-component wedge masses c_i * integral of N*(mu_i, v_i)."""
-        return self.weights * wedge_gaussian_mass(self.means, self.variances)
+        """Per-component wedge masses c_i * integral of N*(mu_i, v_i), read
+        only, computed once."""
+        if self._masses is None:
+            self._masses = self.weights * wedge_gaussian_mass(self.means, self.variances)
+            self._masses.flags.writeable = False
+        return self._masses
 
     def total_mass(self) -> float:
         """Expected feature count: integral of the intensity over the wedge.
@@ -274,7 +280,9 @@ class GaussianMixtureIntensity:
         Uses exactly rounded summation, so the value does not depend on
         component order.
         """
-        return math.fsum(self.component_masses())
+        if self._total is None:
+            self._total = math.fsum(self.component_masses())
+        return self._total
 
     def __eq__(self, other):
         if not isinstance(other, GaussianMixtureIntensity):

@@ -7,6 +7,10 @@ over Z/2: H0 by union-find over the edges in filtration order, each higher
 dimension by reducing coboundary columns with clearing and apparent pairs
 (Bauer 2021, "Ripser"; de Silva, Morozov & Vejdemo-Johansson 2011).
 
+The complex stops at the enclosing radius min_i max_j d(i, j) if that is
+below ``max_radius``: there it is a cone on one vertex, so no class dies
+later, and the cut skips most simplices of a full filtration (Bauer 2021).
+
 Zero-persistence pairs are discarded. Classes still alive at ``max_radius``
 (essential classes in the truncated filtration) are dropped and counted on
 the returned diagram.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -76,14 +80,18 @@ def rips_persistence(cloud: PointCloud,
     """Persistence diagram of the Rips filtration of ``cloud``.
 
     Simplices up to dimension ``max_homology_dim + 1`` are built (only those
-    with diameter <= max_radius). H0 features are born at 0; the essential
-    class per connected component is dropped and counted. Features come in
-    descending death dimension, then in the filtration order of their death.
+    with diameter <= max_radius, or the enclosing radius if that is smaller).
+    H0 features are born at 0; the essential class per connected component
+    is dropped and counted. Features come in descending death dimension,
+    then in the filtration order of their death.
     """
     if cloud.n_points == 0:
         raise ValidationError("cannot build a filtration on an empty cloud")
 
-    simplices, values = _build_filtration(cloud, params)
+    enclosing = float(_distance_matrix(cloud.points).max(axis=1).min())
+    cut = 0 < enclosing < params.max_radius  # not for coincident points
+    simplices, values = _build_filtration(
+        cloud, replace(params, max_radius=enclosing) if cut else params)
     starts = [*(len(simplices) - np.count_nonzero(simplices >= 0, axis=0)),
               len(simplices)]
     layers = []  # per dimension: lexicographic rows, filtration order, sorted values

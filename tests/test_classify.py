@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayespd import intensity, posterior
 from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      GaussianMixtureIntensity, MixtureComponent,
                      ObservationModel, PersistenceDiagram, PriorSpec,
@@ -364,6 +366,29 @@ def test_kmeans_tied_inertia_keeps_the_first_restart():
     np.testing.assert_array_equal(centers, oracle_kmeans(square, 2, 3))
 
 
+def test_kmeans_negative_zero_cluster_matches_oracle_bitwise():
+    # the hypothesis strategy draws no -0.0; a cluster whose members all have
+    # birth -0.0 averages to +0.0 in the oracle's mean, and so must here
+    points = np.array([[-0.0, 1.0], [-0.0, 1.5], [-0.0, 2.0],
+                       [3.0, 0.5], [3.5, 0.5], [3.0, 1.0]])
+    assert_restarts_match_oracle(points, 2, 4)
+    centers = kmeans(points, 2, 4)
+    assert centers.tobytes() == oracle_kmeans(points, 2, 4).tobytes()
+    assert centers[0, 0] == 0.0 and not np.signbit(centers[0, 0])
+
+
+def test_kmeans_peak_memory():
+    # the Lloyd work arrays are (restarts, n) and allocated once
+    points = np.random.default_rng(3).uniform(0.0, 5.0, (5000, 2))
+    tracemalloc.start()
+    try:
+        kmeans(points, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
 def test_kmeans_prior_builds_mixture():
     training = [diagram_at([(0.0, 0.0), (1.0, 2.0)]),
                 diagram_at([(3.0, 1.0)]),
@@ -501,6 +526,26 @@ def test_cross_validate_kmeans_prior_on_few_distinct_features():
                                         "variance": 0.5, "weight": 1.0}
     assert len(report.entries) == 8 and report.n_undecidable == 0
     assert report.auc == 1.0
+
+
+def test_cross_validate_computes_each_mass_once(monkeypatch):
+    # per fold: each class's prior masses once, on first total_mass, and one
+    # call per posterior update; scoring a diagram computes no mass
+    calls, wedge_gaussian_mass = [], intensity.wedge_gaussian_mass
+
+    def counting(mean, variance):
+        calls.append(1)
+        return wedge_gaussian_mass(mean, variance)
+
+    class1, class2 = synthetic_classes(n=6)  # the sampler's masses not counted
+    monkeypatch.setattr(intensity, "wedge_gaussian_mass", counting)
+    monkeypatch.setattr(posterior, "wedge_gaussian_mass", counting)
+    config = CrossValidationConfig(
+        observation=ObservationModel(1.0, 0.05),
+        prior=PriorSpec("kmeans", k=1, variance=0.5), folds=3)
+    report = cross_validate(class1, class2, config)
+    assert len(report.entries) == 12
+    assert len(calls) == 4 * config.folds
 
 
 def test_cross_validate_fold_validation():

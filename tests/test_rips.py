@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 from bayespd import (FiltrationParams, PointCloud, SimplexBudgetError,
                      ValidationError, read_point_cloud_csv, rips_persistence,
                      write_point_cloud_csv)
+from bayespd import rips as rips_module
 from bayespd.rips import _distance_matrix
 
 
@@ -204,6 +205,26 @@ def test_budget_error_fires_before_the_complex_is_built():
         finally:
             tracemalloc.stop()
         assert peak < limit, (budget, peak)
+
+
+def test_filtration_is_cut_at_the_enclosing_radius(monkeypatch):
+    # an infinite radius arrives as min_i max_j d(i, j); a smaller one, and
+    # the zero enclosing radius of coincident points, arrive unchanged
+    radii, build = [], rips_module._build_filtration
+
+    def spy(cloud, params):
+        radii.append(params.max_radius)
+        return build(cloud, params)
+
+    monkeypatch.setattr(rips_module, "_build_filtration", spy)
+    pts = np.random.default_rng(11).uniform(0.0, 1.0, (25, 2))
+    enclosing = squareform(pdist(pts)).max(axis=1).min()
+    with pytest.warns(UserWarning, match=r"max_radius=inf$"):
+        rips_persistence(PointCloud(pts), FiltrationParams())
+    with pytest.warns(UserWarning, match="essential"):
+        rips_persistence(PointCloud(pts), FiltrationParams(max_radius=0.1))
+        rips_persistence(PointCloud(np.zeros((3, 2))), FiltrationParams())
+    assert radii == [enclosing, 0.1, np.inf]
 
 
 def test_filtration_params_validation():
