@@ -1,5 +1,5 @@
 """Small shared helpers: RNG plumbing, JSON reading and field conversion,
-atomic file writes of text, CSV and JSON."""
+atomic file writes of bytes, CSV and JSON."""
 
 from __future__ import annotations
 
@@ -91,17 +91,15 @@ def field_errors(what: str):
         raise ValidationError(f"{what}: {exc}") from None
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same dir.
-
-    Readers never observe a partially written file.
-    """
+def atomic_write(path: str | os.PathLike, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` via a temp file + rename
+    in the same dir. Readers never observe a partially written file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -116,10 +114,11 @@ def write_csv(path: str | os.PathLike, rows, *, header: str | None = None) -> No
     ``header`` when given. A float's ``repr`` is the shortest string that
     round-trips binary64."""
     lines = [",".join(map(repr, row)) for row in rows]
-    atomic_write_text(path, "\n".join([header, *lines] if header else lines) + "\n")
+    text = "\n".join([header, *lines] if header else lines) + "\n"
+    atomic_write(path, [text.encode()])
 
 
 def write_json(path: str | os.PathLike, data, *, sort_keys: bool = False) -> None:
     """Write ``data`` atomically as JSON indented by two spaces, ending in a
     newline."""
-    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=sort_keys) + "\n")
+    atomic_write(path, [(json.dumps(data, indent=2, sort_keys=sort_keys) + "\n").encode()])

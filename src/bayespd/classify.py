@@ -21,7 +21,7 @@ assigns the first class.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -372,7 +372,7 @@ class BayesFactorReport:
     def to_dict(self) -> dict:
         """The fields as JSON data: tuples become lists, ``prior_description``
         is keyed "prior" and the bootstrap summary is keyed by percentile."""
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(prior=out.pop("prior_description"),
                    bootstrap_summary=self.bootstrap_percentiles)
         return _as_lists(out)

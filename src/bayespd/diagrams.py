@@ -41,7 +41,8 @@ class PersistenceDiagram:
     every view. Equality is multiset equality over those triples, bit exact.
     """
 
-    __slots__ = ("births", "deaths", "persistences", "dims", "n_dropped_infinite")
+    __slots__ = ("births", "deaths", "persistences", "dims", "n_dropped_infinite",
+                 "_tilted")
 
     def __init__(self, births, deaths, dims, *, n_dropped_infinite: int = 0):
         births = np.atleast_1d(np.asarray(births, dtype=np.float64)).copy()
@@ -62,6 +63,7 @@ class PersistenceDiagram:
         self.persistences = deaths - births
         self.dims = dims_arr
         self.n_dropped_infinite = int(n_dropped_infinite)
+        self._tilted = None
         for arr in (self.births, self.deaths, self.persistences, self.dims):
             arr.flags.writeable = False
 
@@ -135,8 +137,12 @@ class PersistenceDiagram:
 
     @property
     def tilted_points(self) -> np.ndarray:
-        """(n, 2) array of (birth, persistence) points in the wedge."""
-        return np.column_stack([self.births, self.persistences])
+        """(n, 2) read-only array of (birth, persistence) points in the
+        wedge, built on first use."""
+        if self._tilted is None:
+            self._tilted = np.column_stack([self.births, self.persistences])
+            self._tilted.flags.writeable = False
+        return self._tilted
 
     def restrict(self, homology_dim: int) -> "PersistenceDiagram":
         """The sub-diagram of features in a single homology dimension."""

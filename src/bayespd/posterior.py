@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from ._util import as_finite, field_errors, write_csv
+from ._floatfmt import BLOCK, repr_rows
+from ._util import as_finite, atomic_write, field_errors
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, canonical_terms, gaussian_density,
@@ -289,16 +291,18 @@ def mass_summary(posterior: PosteriorIntensity) -> dict:
 
 def write_grid_csv(path, grid: Grid, values: np.ndarray) -> None:
     """Write grid values as CSV: header row ``y\\x`` then the x coordinates,
-    one row per y starting with its coordinate. Floats use shortest
-    round-trip decimals."""
+    one row per y starting with its coordinate. Each float is written as its
+    ``repr``, the shortest round-trip decimal."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.ny, grid.nx):
         raise ValidationError(
             f"values shape {values.shape} does not match grid "
             f"({grid.ny}, {grid.nx})")
-    rows = np.column_stack([grid.y_axis, values])
-    write_csv(path, (row.tolist() for row in rows),
-              header="y\\x," + ",".join(map(repr, grid.x_axis.tolist())))
+    step, y = max(1, BLOCK // (grid.nx + 1)), grid.y_axis
+    rows = (np.column_stack([y[i:i + step], values[i:i + step]])
+            for i in range(0, grid.ny, step))
+    header = b"y\\x," + repr_rows(grid.x_axis[None])
+    atomic_write(path, chain([header], map(repr_rows, rows)))
 
 
 # -- independent oracle ------------------------------------------------------

@@ -141,9 +141,10 @@ def _build_filtration(cloud: PointCloud, params: FiltrationParams):
     for _ in range(params.max_homology_dim + 1):
         layers.append(_cofaces(layers[-1], adjacency, sum(map(len, layers)),
                                params.simplex_budget))
-    simplices = np.concatenate([
-        np.pad(layer, ((0, 0), (0, len(layers) - layer.shape[1])), constant_values=-1)
-        for layer in layers])
+    ends = np.cumsum([len(layer) for layer in layers])
+    simplices = np.full((ends[-1], len(layers)), -1, dtype=np.int64)
+    for end, layer in zip(ends, layers):
+        simplices[end - len(layer):end, :layer.shape[1]] = layer
     values = np.concatenate([np.zeros(n)] + [
         np.max([dist[layer[:, a], layer[:, b]]
                 for a, b in combinations(range(layer.shape[1]), 2)], axis=0)
@@ -238,10 +239,10 @@ def _coboundary_pairs(facets: np.ndarray, n_faces: int, cleared):
     def column(face: int) -> list[int]:
         return coboundary[ptr[face]:ptr[face + 1]].tolist()
 
-    todo = np.setdiff1d(np.arange(n_faces),
-                        np.concatenate((cleared, candidates[apparent])))
+    todo = np.ones(n_faces, dtype=bool)
+    todo[cleared] = todo[candidates[apparent]] = False
     reduced = {}
-    for face in todo[::-1].tolist():
+    for face in np.flatnonzero(todo)[::-1].tolist():
         heap = column(face)
         while heap:
             if len(heap) > 1 and heap[0] == min(heap[1:3]):

@@ -24,6 +24,15 @@ def test_persistences_derived_from_deaths():
     np.testing.assert_array_equal(d.tilted_points, [[0.5, 1.0], [1.0, 0.0]])
 
 
+def test_tilted_points_built_once_read_only():
+    d = random_diagram(np.random.default_rng(5))
+    first = d.tilted_points
+    assert d.tilted_points is first and not first.flags.writeable
+    assert first.tobytes() == np.column_stack([d.births, d.persistences]).tobytes()
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+
+
 def test_round_half_even_tie_keeps_death_exact():
     # b + fl(d - b) lands on a rounding tie and misses d by one ulp; the
     # diagram keeps the original death rather than reconstructing it.

@@ -29,13 +29,28 @@ def test_benchmark_bound_names_exist():
     assert callable(bayespd.rips.PointCloud.diameter)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it would add about half a
-    # second to every command-line call
+def fresh_cli_import(expression: str) -> str:
+    """``expression`` as printed by a fresh interpreter after ``import
+    bayespd.cli``, the set-up every command-line call pays."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, bayespd.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    code = f"import sys, bayespd.cli; print({expression})"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would add about half a
+    # second to every command-line call
+    assert fresh_cli_import(SCIPY_MODULES) == "[]"
+
+
+def test_cli_import_builds_no_format_tables():
+    # the grid CSV formatter's tables take milliseconds to build, so they are
+    # built on the first grid written, not at import
+    probe = f"bayespd._floatfmt.tables.cache_info().currsize, {SCIPY_MODULES}"
+    assert fresh_cli_import(probe) == "0 []"

@@ -1,6 +1,6 @@
 import numpy as np
 
-from bayespd._util import as_generator, atomic_write_text, derived_rng
+from bayespd._util import as_generator, atomic_write, derived_rng
 
 
 def test_as_generator_accepts_seed_and_generator():
@@ -19,8 +19,8 @@ def test_derived_rng_is_deterministic_and_path_sensitive():
 
 def test_atomic_write_text(tmp_path):
     path = tmp_path / "out.txt"
-    atomic_write_text(path, "hello\n")
+    atomic_write(path, [b"hel", b"lo\n"])
     assert path.read_text() == "hello\n"
-    atomic_write_text(path, "replaced\n")
+    atomic_write(path, [b"replaced\n"])
     assert path.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
