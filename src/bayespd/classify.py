@@ -259,15 +259,11 @@ def roc_curve(positive_scores, negative_scores) -> tuple[list[tuple[float, float
     if np.any(np.isnan(pos)) or np.any(np.isnan(neg)):
         raise ValidationError("NaN scores cannot be ranked; filter them first")
     thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    points = [(0.0, 0.0)]
-    for t in thresholds:
-        tpr = float(np.count_nonzero(pos >= t)) / len(pos)
-        fpr = float(np.count_nonzero(neg >= t)) / len(neg)
-        points.append((fpr, tpr))
-    xs = np.asarray([p[0] for p in points])
-    ys = np.asarray([p[1] for p in points])
-    auc = float(np.trapezoid(ys, xs))
-    return points, auc
+    # each class's share of scores >= each threshold, from integer counts
+    tpr, fpr = ((len(s) - np.searchsorted(np.sort(s), thresholds)) / len(s)
+                for s in (pos, neg))
+    xs, ys = np.concatenate([[0.0], fpr]), np.concatenate([[0.0], tpr])
+    return list(zip(xs.tolist(), ys.tolist())), float(np.trapezoid(ys, xs))
 
 
 def bootstrap_auc(fold_aucs, rng_seed=0) -> tuple[float, float, float]:
@@ -312,6 +308,9 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in ("kmeans", "flat"):
             raise ValidationError(f"prior kind must be 'kmeans' or 'flat', got {self.kind!r}")
+        if (isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer))
+                or self.k < 1):
+            raise ValidationError(f"k must be an integer >= 1, got {self.k!r}")
         as_finite(self.variance, "variance")
         as_finite(self.weight, "weight")
         for coordinate in self.mean:
@@ -326,6 +325,11 @@ class PriorSpec:
                                 rng_seed)
         return GaussianMixtureIntensity(
             [MixtureComponent(self.weight, self.mean, self.variance)])
+
+
+#: The priors of the lattice study, by kind.
+PRIOR_SPECS = {"kmeans": PriorSpec("kmeans", k=3, variance=2.0, weight=1.0),
+               "flat": PriorSpec("flat", mean=(1.0, 1.0), variance=20.0, weight=1.0)}
 
 
 @dataclass(frozen=True)
@@ -344,6 +348,8 @@ class CrossValidationConfig:
             raise ValidationError("folds must be >= 2")
         if as_finite(self.threshold, "threshold") <= 0:
             raise ValidationError("threshold must be > 0")
+        if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
+            raise ValidationError(f"labels must be two distinct names, got {self.labels!r}")
 
 
 @dataclass(frozen=True)
@@ -406,11 +412,10 @@ def cross_validate(class1: Sequence[PersistenceDiagram],
     factor, from which the fold's ROC and AUC are computed (class 1 is the
     positive class). Fully deterministic given ``config.rng_seed``.
     """
-    class1, class2 = list(class1), list(class2)
-    folds1 = _stratified_folds(len(class1), config.folds,
-                               derived_rng(config.rng_seed, 0))
-    folds2 = _stratified_folds(len(class2), config.folds,
-                               derived_rng(config.rng_seed, 1))
+    classes = (list(class1), list(class2))
+    folds = [_stratified_folds(len(diagrams), config.folds,
+                               derived_rng(config.rng_seed, c))
+             for c, diagrams in enumerate(classes)]
 
     entries: list[dict] = []
     fold_aucs: list[float] = []
@@ -418,39 +423,25 @@ def cross_validate(class1: Sequence[PersistenceDiagram],
     n_undecidable = 0
 
     for f in range(config.folds):
-        train1 = [class1[i] for i in np.concatenate(
-            [folds1[g] for g in range(config.folds) if g != f])]
-        train2 = [class2[i] for i in np.concatenate(
-            [folds2[g] for g in range(config.folds) if g != f])]
-        prior1 = config.prior.build(train1, derived_rng(config.rng_seed, 2, f, 0))
-        prior2 = config.prior.build(train2, derived_rng(config.rng_seed, 2, f, 1))
-        model1 = ClassModel(config.labels[0], prior1, config.observation, train1)
-        model2 = ClassModel(config.labels[1], prior2, config.observation, train2)
+        models = []
+        for c, (label, diagrams, split) in enumerate(zip(config.labels, classes, folds)):
+            train = [diagrams[i] for i in np.concatenate(split[:f] + split[f + 1:])]
+            prior = config.prior.build(train, derived_rng(config.rng_seed, 2, f, c))
+            models.append(ClassModel(label, prior, config.observation, train))
 
-        scores: dict[str, list[float]] = {config.labels[0]: [],
-                                          config.labels[1]: []}
-        for true_label, fold_idx, diagrams in (
-                (config.labels[0], folds1[f], class1),
-                (config.labels[1], folds2[f], class2)):
-            for i in fold_idx:
-                result = bayes_factor(model1, model2, diagrams[i],
-                                      config.threshold, config.mode)
-                entries.append({
-                    "fold": f,
-                    "true_label": true_label,
-                    "index": int(i),
-                    "log_density_1": result.log_density_1,
-                    "log_density_2": result.log_density_2,
-                    "log_bf": result.log_bf,
-                    "assignment": result.assignment,
-                })
+        scores = ([], [])  # log Bayes factors of each class's decided diagrams
+        for c, (label, diagrams, split) in enumerate(zip(config.labels, classes, folds)):
+            for i in split[f]:
+                result = bayes_factor(*models, diagrams[i], config.threshold,
+                                      config.mode)
+                entries.append({"fold": f, "true_label": label, "index": int(i),
+                                **vars(result)})
                 if result.undecidable:
                     n_undecidable += 1
                 else:
-                    scores[true_label].append(result.log_bf)
+                    scores[c].append(result.log_bf)
 
-        points, auc = roc_curve(scores[config.labels[0]],
-                                scores[config.labels[1]])
+        points, auc = roc_curve(*scores)
         roc_all.append(tuple(points))
         fold_aucs.append(auc)
 

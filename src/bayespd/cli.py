@@ -15,12 +15,13 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import __version__
 from ._util import derived_rng, from_json, write_json
-from .classify import CrossValidationConfig, PriorSpec, cross_validate
+from .classify import (DENSITY_MODES, PRIOR_SPECS, CrossValidationConfig,
+                       PriorSpec, cross_validate)
 from .diagrams import read_diagram, read_diagram_json, write_diagram
 from .errors import NumericalError, UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, read_mixture_json
@@ -70,12 +71,19 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _coordinates(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise UsageError(f"--prior-mode: mean needs two coordinates, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
 def parse_prior_mode(text: str) -> PriorSpec:
-    """Parse a prior mini-spec: ``kmeans:k=3,var=2`` or
-    ``flat:mean=1,1,var=20`` (tuple values keep their commas)."""
+    """Parse a prior mini-spec over ``PRIOR_SPECS[kind]``: ``kmeans:k=3,var=2``
+    or ``flat:mean=1,1,var=20`` (tuple values keep their commas)."""
     kind, _, body = text.partition(":")
     kind = kind.strip()
-    if kind not in ("kmeans", "flat"):
+    if kind not in PRIOR_SPECS:
         raise UsageError(
             f"--prior-mode must start with 'kmeans:' or 'flat:', got {text!r}")
     tokens: list[str] = []
@@ -90,26 +98,17 @@ def parse_prior_mode(text: str) -> PriorSpec:
         if not sep or not key.strip():
             raise UsageError(f"--prior-mode: bad parameter {token!r} in {text!r}")
         params[key.strip()] = value.strip()
-    allowed = {"k", "var", "weight"} if kind == "kmeans" else {"mean", "var", "weight"}
+    fields = {"k": ("k", int), "mean": ("mean", _coordinates),  # PriorSpec field, parser
+              "var": ("variance", float), "weight": ("weight", float)}
+    allowed = set(fields) - {"mean" if kind == "kmeans" else "k"}
     unknown = set(params) - allowed
     if unknown:
         raise UsageError(
             f"--prior-mode: unknown {kind} parameter(s) {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
     try:
-        if kind == "kmeans":
-            return PriorSpec(kind="kmeans",
-                             k=int(params.get("k", 3)),
-                             variance=float(params.get("var", 2.0)),
-                             weight=float(params.get("weight", 1.0)))
-        mean_parts = params.get("mean", "1,1").split(",")
-        if len(mean_parts) != 2:
-            raise UsageError(f"--prior-mode: mean needs two coordinates, got "
-                             f"{params.get('mean')!r}")
-        return PriorSpec(kind="flat",
-                         mean=(float(mean_parts[0]), float(mean_parts[1])),
-                         variance=float(params.get("var", 20.0)),
-                         weight=float(params.get("weight", 1.0)))
+        return replace(PRIOR_SPECS[kind], **{
+            fields[key][0]: fields[key][1](value) for key, value in params.items()})
     except ValidationError as exc:
         raise UsageError(f"--prior-mode: {exc}") from None
     except ValueError:
@@ -396,16 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class1-dir", required=True)
     p.add_argument("--class2-dir", required=True)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--prior-mode", default="kmeans:k=3,var=2",
-                   help="'kmeans:k=3,var=2' or 'flat:mean=1,1,var=20'")
+    p.add_argument("--prior-mode", default="kmeans",
+                   help="'kmeans' or 'flat', e.g. 'kmeans:k=5' or 'flat:mean=1,1,var=20'")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="latent feature observation probability (default 1)")
     p.add_argument("--sigma-yo", type=float, default=0.1,
                    help="observation noise variance (default 0.1)")
     p.add_argument("--clutter", default=None,
                    help="clutter mixture JSON (default: no clutter)")
-    p.add_argument("--mode", default="paper-literal",
-                   choices=("paper-literal", "mass-consistent"),
+    p.add_argument("--mode", default=DENSITY_MODES[0], choices=DENSITY_MODES,
                    help="density normalization mode")
     p.add_argument("--threshold", type=float, default=1.0,
                    help="Bayes-factor decision threshold (default 1)")

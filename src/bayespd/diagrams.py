@@ -24,6 +24,24 @@ MAX_HOMOLOGY_DIM = 2
 CSV_HEADER = "birth,death,dim"
 
 
+def _first_invalid(births, deaths, dims) -> tuple[int, str] | None:
+    """(index, message) of the first feature that breaks a rule, naming the
+    first rule it breaks; None when every feature is valid."""
+    broken = (~np.isfinite(births) | (births < 0), ~np.isfinite(deaths),
+              deaths < births, (dims < 0) | (dims > MAX_HOMOLOGY_DIM))
+    bad = np.logical_or.reduce(broken)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    b, d = float(births[i]), float(deaths[i])
+    messages = (f"birth must be finite and >= 0, got {b}",
+                f"death must be finite, got {d} (drop infinite deaths with "
+                "from_birth_death)",
+                f"death < birth ({d} < {b})",
+                f"homology dimension must be in 0..{MAX_HOMOLOGY_DIM}, got {dims[i]:.0f}")
+    return i, next(m for m, mask in zip(messages, broken) if mask[i])
+
+
 class PersistenceDiagram:
     """Immutable multiset of persistence features.
 
@@ -54,9 +72,10 @@ class PersistenceDiagram:
         if dims_arr.size and not np.issubdtype(dims_arr.dtype, np.integer):
             if not np.all(dims_arr == np.floor(dims_arr)):
                 raise ValidationError("homology dimensions must be integers")
+        invalid = _first_invalid(births, deaths, dims_arr)
+        if invalid:
+            raise ValidationError("feature {}: {}".format(*invalid))
         dims_arr = dims_arr.astype(np.int64)
-
-        self._validate(births, deaths, dims_arr)
 
         self.births = births
         self.deaths = deaths
@@ -66,31 +85,6 @@ class PersistenceDiagram:
         self._tilted = None
         for arr in (self.births, self.deaths, self.persistences, self.dims):
             arr.flags.writeable = False
-
-    @staticmethod
-    def _validate(births, deaths, dims):
-        bad = ~np.isfinite(births) | (births < 0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"feature {i}: birth must be finite and >= 0, got {float(births[i])}")
-        bad = ~np.isfinite(deaths)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"feature {i}: death must be finite, got {float(deaths[i])} "
-                "(drop infinite deaths with from_birth_death)")
-        bad = deaths < births
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"feature {i}: death < birth ({float(deaths[i])} < {float(births[i])})")
-        bad = (dims < 0) | (dims > MAX_HOMOLOGY_DIM)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"feature {i}: homology dimension must be in "
-                f"0..{MAX_HOMOLOGY_DIM}, got {dims[i]}")
 
     # -- constructors ------------------------------------------------------
 
@@ -204,7 +198,7 @@ def read_diagram_csv(path) -> PersistenceDiagram:
     if not lines or [f.strip() for f in lines[0].split(",")] != ["birth", "death", "dim"]:
         raise ValidationError(
             f"{path}: line 1: expected header '{CSV_HEADER}'")
-    rows = []
+    rows, where = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -213,32 +207,23 @@ def read_diagram_csv(path) -> PersistenceDiagram:
             raise ValidationError(
                 f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
         try:
-            b, d, k = float(fields[0]), float(fields[1]), int(fields[2])
-            _check_triple(b, d, k)
-        except ValueError as exc:  # ValidationError is a ValueError
+            rows.append((float(fields[0]), float(fields[1]), float(int(fields[2]))))
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        rows.append((b, d, k))
-    return _from_rows(rows)
+        where.append(f"line {lineno}")
+    return _from_rows(path, rows, where)
 
 
-def _check_triple(b: float, d: float, k: int) -> None:
-    if not np.isfinite(b) or b < 0:
-        raise ValidationError(f"birth must be finite and >= 0, got {b!r}")
-    if np.isnan(d):
-        raise ValidationError("death is NaN")
-    if not np.isposinf(d) and d < b:
-        raise ValidationError(f"death < birth ({d!r} < {b!r})")
-    if k < 0 or k > MAX_HOMOLOGY_DIM:
-        raise ValidationError(
-            f"homology dimension must be in 0..{MAX_HOMOLOGY_DIM}, got {k}")
-
-
-def _from_rows(rows: list[tuple[float, float, int]]) -> PersistenceDiagram:
-    """The diagram of checked (birth, death, dim) rows. Infinite deaths are
-    dropped; their count stays on the diagram."""
-    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    return PersistenceDiagram.from_birth_death(
-        table[:, 0], table[:, 1], table[:, 2].astype(np.int64))
+def _from_rows(path, rows: list[tuple[float, float, float]], where) -> PersistenceDiagram:
+    """The diagram of parsed (birth, death, dim) rows, checked by the
+    constructor's rules; an error names the path and ``where[row]``.
+    Infinite deaths are dropped; their count stays on the diagram."""
+    births, deaths, dims = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    # an essential class is checked as if it died at birth, then dropped
+    invalid = _first_invalid(births, np.where(np.isposinf(deaths), births, deaths), dims)
+    if invalid:
+        raise ValidationError(f"{path}: {where[invalid[0]]}: {invalid[1]}")
+    return PersistenceDiagram.from_birth_death(births, deaths, dims)
 
 
 def write_diagram_json(diagram: PersistenceDiagram, path) -> None:
@@ -257,13 +242,11 @@ def read_diagram_json(path) -> PersistenceDiagram:
             raise ValidationError(
                 f"{path}: feature {i}: expected keys birth, death, dim")
         try:
-            b, d = float(rec["birth"]), float(rec["death"])
-            k = as_integer(rec["dim"], "homology dimension")
-            _check_triple(b, d, k)
+            rows.append((float(rec["birth"]), float(rec["death"]),
+                         float(as_integer(rec["dim"], "homology dimension"))))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: feature {i}: {exc}") from None
-        rows.append((b, d, k))
-    return _from_rows(rows)
+    return _from_rows(path, rows, [f"feature {i}" for i in range(len(rows))])
 
 
 def _is_json(path) -> bool:

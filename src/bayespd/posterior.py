@@ -167,7 +167,10 @@ class PosteriorIntensity:
                 f"n_data_components={len(self.coefficients)})")
 
 
-def _tilted_observations(observations: Sequence[PersistenceDiagram]) -> list[np.ndarray]:
+def _tilted_observations(prior: GaussianMixtureIntensity,
+                         observations: Sequence[PersistenceDiagram]) -> list[np.ndarray]:
+    if not isinstance(prior, GaussianMixtureIntensity) or len(prior) == 0:
+        raise ValidationError("prior must be a nonempty GaussianMixtureIntensity")
     if not observations:
         raise ValidationError("need at least one observed diagram")
     dims = set()
@@ -191,9 +194,7 @@ def posterior_closed_form(prior: GaussianMixtureIntensity,
     Raises DegenerateObservationError when some observed point has a zero
     denominator (no clutter density and fully vanished likelihood overlap).
     """
-    if not isinstance(prior, GaussianMixtureIntensity) or len(prior) == 0:
-        raise ValidationError("prior must be a nonempty GaussianMixtureIntensity")
-    point_sets = _tilted_observations(observations)
+    point_sets = _tilted_observations(prior, observations)
     m = len(observations)
     alpha = model.alpha
     lv = model.likelihood_variance
@@ -324,9 +325,7 @@ def posterior_numeric_oracle(prior: GaussianMixtureIntensity,
     added in lexicographic point order, so the result does not depend on the
     order of the observations.
     """
-    if not isinstance(prior, GaussianMixtureIntensity) or len(prior) == 0:
-        raise ValidationError("prior must be a nonempty GaussianMixtureIntensity")
-    points = np.concatenate(_tilted_observations(observations))
+    points = np.concatenate(_tilted_observations(prior, observations))
     m = len(observations)
     alpha = model.alpha
     lv = model.likelihood_variance

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import as_finite, as_integer, derived_rng, field_errors, write_json
-from .classify import CrossValidationConfig, PriorSpec, cross_validate
+from .classify import PRIOR_SPECS, CrossValidationConfig, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, MixtureComponent
@@ -132,10 +132,7 @@ class ExperimentConfig:
         return {name: CrossValidationConfig(observation=observation, prior=prior,
                                             folds=self.folds, rng_seed=self.seed,
                                             labels=("bcc", "fcc"))
-                for name, prior in (
-                    ("kmeans", PriorSpec(kind="kmeans", k=3, variance=2.0, weight=1.0)),
-                    ("flat", PriorSpec(kind="flat", mean=(1.0, 1.0), variance=20.0,
-                                       weight=1.0)))}
+                for name, prior in PRIOR_SPECS.items()}
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "kind": self.kind, "seed": self.seed}

@@ -16,7 +16,7 @@ from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      kmeans_prior, log_poisson_density, roc_curve,
                      sample_poisson_pp)
 from bayespd._util import derived_rng
-from bayespd.classify import KMEANS_RESTARTS, _kmeans_restarts
+from bayespd.classify import KMEANS_RESTARTS, PRIOR_SPECS, _kmeans_restarts
 
 UNIT_MASS = GaussianMixtureIntensity([MixtureComponent(1.0, (10.0, 10.0), 1.0)])
 
@@ -411,7 +411,47 @@ def test_prior_spec_rejects_non_finite_fields(fields):
         PriorSpec("kmeans", **fields)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "3"])
+def test_prior_spec_rejects_a_k_that_is_not_a_positive_integer(k):
+    # k=0 used to fail only inside k-means, after cross-validation started;
+    # k=2.5 with a TypeError from numpy
+    with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+        PriorSpec("kmeans", k=k)
+    assert PriorSpec("kmeans", k=np.int64(2)).k == 2
+
+
 # -- ROC / AUC ---------------------------------------------------------------------
+
+def oracle_roc_curve(positive_scores, negative_scores):
+    """The ROC by one count per threshold, as ``roc_curve`` once computed it."""
+    pos = np.asarray(positive_scores, dtype=np.float64)
+    neg = np.asarray(negative_scores, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    points = [(0.0, 0.0)]
+    for t in thresholds:
+        tpr = float(np.count_nonzero(pos >= t)) / len(pos)
+        fpr = float(np.count_nonzero(neg >= t)) / len(neg)
+        points.append((fpr, tpr))
+    xs = np.asarray([p[0] for p in points])
+    ys = np.asarray([p[1] for p in points])
+    return points, float(np.trapezoid(ys, xs))
+
+
+# few distinct values, so classes tie within and across themselves
+ROC_SCORES = st.lists(st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1e-300, 0.7, 3.0,
+                                       1e300, math.inf]), min_size=1, max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pos=ROC_SCORES, neg=ROC_SCORES)
+def test_roc_matches_threshold_loop_oracle_bitwise(pos, neg):
+    points, auc = roc_curve(pos, neg)
+    expected_points, expected_auc = oracle_roc_curve(pos, neg)
+    assert points == expected_points
+    assert all(type(v) is float for point in points for v in point)
+    assert np.array(points).tobytes() == np.array(expected_points).tobytes()
+    assert np.float64(auc).tobytes() == np.float64(expected_auc).tobytes()
+
 
 def test_roc_perfect_and_reversed():
     points, auc = roc_curve([3.0, 4.0], [1.0, 2.0])
@@ -557,6 +597,32 @@ def test_cross_validate_fold_validation():
     with pytest.raises(ValidationError, match="folds"):
         CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
                               prior=PriorSpec("flat"), folds=1)
+
+
+def test_cross_validation_rejects_equal_labels():
+    # equal labels used to merge both classes' scores, so every fold read AUC 0.5
+    with pytest.raises(ValidationError, match="two distinct names"):
+        CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
+                              prior=PriorSpec("flat"), labels=("a", "a"))
+
+
+def test_cross_validate_entries_follow_the_folds():
+    class1, class2 = synthetic_classes(n=7)
+    config = CrossValidationConfig(
+        observation=ObservationModel(1.0, 0.05),
+        prior=PriorSpec("flat", mean=(1.0, 1.0), variance=5.0), folds=3,
+        labels=("a", "b"), rng_seed=4)
+    report = cross_validate(class1, class2, config)
+    # within a fold, class 1's held-out diagrams, then class 2's, each in
+    # the fold's order; together every diagram once
+    order = [(e["fold"], e["true_label"]) for e in report.entries]
+    assert order == sorted(order)
+    for label in "ab":
+        assert sorted(e["index"] for e in report.entries
+                      if e["true_label"] == label) == list(range(7))
+    assert set(report.entries[0]) == {"fold", "true_label", "index", "log_bf",
+                                      "assignment", "log_density_1",
+                                      "log_density_2"}
 
 
 def test_non_finite_threshold_is_rejected():

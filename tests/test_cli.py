@@ -6,6 +6,7 @@ from bayespd import (GaussianMixtureIntensity, MixtureComponent, PriorSpec,
                      UsageError, sample_poisson_pp, write_diagram,
                      write_mixture_json, write_point_cloud_csv)
 from bayespd._util import derived_rng
+from bayespd.classify import PRIOR_SPECS
 from bayespd.cli import main, parse_grid, parse_prior_mode
 from bayespd.presets import experiment_presets
 from bayespd.rips import PointCloud
@@ -56,6 +57,8 @@ def test_parse_prior_mode_kmeans():
         parse_prior_mode("kmeans:var=nan")
     with pytest.raises(UsageError, match="--prior-mode: variance and weight must be > 0"):
         parse_prior_mode("kmeans:var=-1")
+    with pytest.raises(UsageError, match="--prior-mode: k must be an integer >= 1, got 0"):
+        parse_prior_mode("kmeans:k=0")
 
 
 def test_parse_prior_mode_flat():
@@ -69,6 +72,18 @@ def test_parse_prior_mode_flat():
         parse_prior_mode("flat:mean=1,2,3,var=1")
     with pytest.raises(UsageError, match="bad parameter"):
         parse_prior_mode("flat:20")
+
+
+def test_parse_prior_mode_defaults_are_the_study_priors():
+    assert parse_prior_mode("kmeans") == PRIOR_SPECS["kmeans"]
+    assert parse_prior_mode("flat") == PRIOR_SPECS["flat"]
+    assert parse_prior_mode("flat:var=5") == PriorSpec("flat", mean=(1.0, 1.0),
+                                                       variance=5.0)
+    # the lattice study runs on the same two objects
+    priors = {name: config.prior for name, config
+              in experiment_presets()["aptlike-cv"].cv_configs().items()}
+    assert priors.keys() == PRIOR_SPECS.keys()
+    assert all(priors[name] is PRIOR_SPECS[name] for name in priors)
 
 
 # -- top-level dispatch ----------------------------------------------------------
@@ -203,6 +218,12 @@ def test_classify_command(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["labels"] == ["rings", "blobs"]
     assert report["folds"] == 2
+
+    # a bad k is a usage error, found before cross-validation starts
+    assert main(["classify", "--class1-dir", str(tmp_path / "rings"),
+                 "--class2-dir", str(tmp_path / "blobs"), "--prior-mode",
+                 "kmeans:k=0", "--report", str(report_path)]) == 1
+    assert "k must be an integer >= 1, got 0" in capsys.readouterr().err
 
     assert main(["classify", "--class1-dir", str(tmp_path / "missing"),
                  "--class2-dir", str(tmp_path / "blobs"),

@@ -81,6 +81,19 @@ def test_validation_errors():
     assert str(info.value) == "feature 0: persistence must be finite and >= 0, got -1e-09"
 
 
+def test_validation_reports_the_first_bad_feature():
+    # feature 1 breaks the birth rule, but feature 0 comes first
+    with pytest.raises(ValidationError) as info:
+        PersistenceDiagram([1, -1], [0.5, 2], [0, 0])
+    assert str(info.value) == "feature 0: death < birth (0.5 < 1.0)"
+    # the range is checked before the cast to int64, which would warn
+    for dim, text in ((1e20, "100000000000000000000"), (np.inf, "inf"), (3.0, "3")):
+        with pytest.raises(ValidationError) as info:
+            PersistenceDiagram([0.0, 0.0], [1.0, 1.0], [1, dim])
+        assert str(info.value) == ("feature 1: homology dimension must be in "
+                                   f"0..2, got {text}")
+
+
 def test_infinite_deaths_dropped_with_counter():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -187,6 +200,41 @@ def test_csv_reader_drops_infinite_deaths_quietly(tmp_path):
     path.write_text("birth,death,dim\n0.0,nan,0\n")
     with pytest.raises(ValidationError, match="line 2"):
         read_diagram_csv(path)
+
+
+@pytest.mark.parametrize("csv_death, json_death, shown",
+                         [("nan", "NaN", "nan"), ("-inf", "-Infinity", "-inf")])
+def test_readers_word_a_bad_death_as_the_constructor_does(tmp_path, csv_death,
+                                                          json_death, shown):
+    message = (f"death must be finite, got {shown} "
+               "(drop infinite deaths with from_birth_death)")
+    path = tmp_path / "bad.csv"
+    path.write_text(f"birth,death,dim\n0.0,inf,1\n\n0.0,{csv_death},1\n")
+    with pytest.raises(ValidationError) as info:
+        read_diagram_csv(path)
+    assert str(info.value) == f"{path}: line 4: {message}"
+    path = tmp_path / "bad.json"
+    path.write_text('[{"birth": 0.0, "death": 1.0, "dim": 1}, '
+                    f'{{"birth": 0.0, "death": {json_death}, "dim": 1}}]')
+    with pytest.raises(ValidationError) as info:
+        read_diagram_json(path)
+    assert str(info.value) == f"{path}: feature 1: {message}"
+
+
+def test_readers_check_the_rows_of_essential_classes(tmp_path):
+    # a row with an infinite death is dropped, but only once it is valid
+    path = tmp_path / "bad.csv"
+    for row, message in (("-1.0,inf,1", "birth must be finite and >= 0, got -1.0"),
+                         ("0.0,inf,3", "homology dimension must be in 0..2, got 3"),
+                         ("0.0,inf,100000000000000000000",
+                          "homology dimension must be in 0..2, got 100000000000000000000")):
+        path.write_text(f"birth,death,dim\n{row}\n")
+        with pytest.raises(ValidationError) as info:
+            read_diagram_csv(path)
+        assert str(info.value) == f"{path}: line 2: {message}"
+    path.write_text("birth,death,dim\n0.5,inf,1\n0.25,1.0,1\n")
+    diagram = read_diagram_csv(path)
+    assert diagram.births.tolist() == [0.25] and diagram.n_dropped_infinite == 1
 
 
 def test_json_reader_reports_position(tmp_path):

@@ -16,8 +16,9 @@ def test_all_names_resolve_without_duplicates():
 
 
 def test_benchmark_bound_names_exist():
-    # The benchmark rebinds these names to time each layer; deleting one
-    # breaks it, so check them in this suite as well.
+    # perfbench/spans.py rebinds these names to time each layer, and calls
+    # PointCloud.diameter; perfbench/tests calls _build_filtration(cloud,
+    # params). Deleting one breaks the benchmark, so this suite checks them.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)

@@ -1,0 +1,83 @@
+"""Check that two bayespd source trees write the same bytes.
+
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each ``src`` directory runs the same command-line jobs in its own
+subprocess, writing under one temporary directory, and the script prints
+``diff -r`` of the two output trees (and a file count on stderr): empty
+output and exit status 0 mean every file is byte-identical. The jobs are
+the benchmark's own, built by ``perfbench/workloads.py`` (loaded read-only;
+nothing is written into the repository): ``experiment --preset aptlike-cv
+--seed 21``, the 16 circle presets at seeds 4 and 5, and both ``bayespd
+posterior`` jobs of ``dense-posterior`` at seeds 5 and 6, together with the
+input diagrams each tree generates for them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+WORKLOADS = TOOLS.parent / "perfbench" / "workloads.py"
+
+#: (workload, seed); circle-sweep seed s runs every preset at seeds 2s, 2s+1
+JOBS = (("lattice-cv", 21), ("circle-sweep", 2),
+        ("dense-posterior", 5), ("dense-posterior", 6))
+
+
+def write_outputs(src: Path, outdir: Path) -> None:
+    """Run every job with the ``bayespd`` found on ``sys.path``, which must
+    be the one under ``src``."""
+    import bayespd
+    from bayespd.cli import main
+
+    if not Path(bayespd.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"bayespd was imported from {bayespd.__file__}, not {src}")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, seed in JOBS:
+        for job in workloads.build(name, seed, outdir / f"{name}-{seed}").jobs:
+            job.outdir.mkdir(parents=True)  # as the benchmark makes it
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(job.argv)
+            if code != 0:
+                raise SystemExit(f"{name} seed {seed}: {job.name} exited {code}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    child = ("import sys; from pathlib import Path; from same_outputs import "
+             "write_outputs; write_outputs(Path(sys.argv[1]), Path(sys.argv[2]))")
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        outs = []
+        for side, src in (("parent", args.parent_src), ("change", args.change_src)):
+            out = Path(tmp) / side
+            env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                   "PYTHONPATH": os.pathsep.join([str(src.resolve()), str(TOOLS)])}
+            subprocess.run([sys.executable, "-c", child, str(src), str(out)],
+                           env=env, check=True)
+            outs.append(out)
+        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        diff = subprocess.run(["diff", "-r", *map(str, outs)],
+                              capture_output=True, text=True)
+        print(diff.stdout, end="")
+        print(f"{n_files} files compared: "
+              f"{'identical' if diff.returncode == 0 else 'DIFFERENT'}",
+              file=sys.stderr)
+        return diff.returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
