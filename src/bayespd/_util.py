@@ -1,12 +1,13 @@
 """Small shared helpers: RNG plumbing, JSON reading and field conversion,
-atomic file writes of bytes, CSV and JSON."""
+CSV reading, atomic file writes of bytes, CSV and JSON."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tempfile
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -62,33 +63,67 @@ def from_json(path: str | os.PathLike, build):
                               else f"{path}: {message}") from None
 
 
-def as_integer(value, what: str) -> int:
-    """``int(value)`` of a JSON number, refusing strings, booleans and floats
-    with a fractional part."""
-    if isinstance(value, (str, bool)) or (isinstance(value, float)
-                                          and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def as_integer(value, what: str, *, ge: int | None = None) -> int:
+    """``int(value)`` of a whole real number, not a bool, ``>= ge`` if given."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if ge is not None and value < ge:
+        raise ValidationError(f"{what} must be >= {ge}, got {int(value)}")
     return int(value)
 
 
-def as_finite(value, what: str) -> float:
-    """``float(value)``, refusing NaN and +-inf."""
-    number = float(value)
-    if not np.isfinite(number):
+def as_finite(value, what: str, *, gt=None, ge=None) -> float:
+    """``float(value)`` of a finite real number, not a bool, ``> gt`` or ``>= ge`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    number = (float(value) if not isinstance(value, int) or abs(value) <= sys.float_info.max
+              else math.inf)  # a JSON integer of 309 digits overflows binary64
+    if not math.isfinite(number):
         raise ValidationError(f"{what} must be finite, got {number!r}")
+    if not ((gt is None or number > gt) and (ge is None or number >= ge)):
+        bound = f"> {gt}" if gt is not None else f">= {ge}"
+        raise ValidationError(f"{what} must be {bound}, got {number!r}")
     return number
 
 
-@contextmanager
-def field_errors(what: str):
-    """Turn the TypeError, ValueError, AttributeError or OverflowError of a
-    malformed field met while building ``what`` into ValidationError."""
-    try:
-        yield
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
+class json_object:
+    """Run the block on ``data``, a JSON object with every ``required`` key and no
+    others but ``optional``; its ValidationErrors get ``what`` as a key-path prefix."""
+
+    def __init__(self, data, what: str, required=(), optional=()):
+        if not isinstance(data, dict):
+            raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+        if data.keys() != set(required):  # else no key is missing or unknown
+            for kind, keys in (("unknown", data.keys() - {*required, *optional}),
+                               ("missing", set(required) - data.keys())):
+                if keys:
+                    raise ValidationError(f"{what}: {kind} keys {sorted(keys)}")
+        self.data, self.what = data, what
+
+    def __enter__(self) -> dict:
+        return self.data
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValidationError):
+            raise ValidationError(f"{self.what}: {exc}") from None
+
+
+def read_csv_rows(path: str | os.PathLike, parse, header=None) -> list:
+    """(line number, ``parse(fields)``) of each non-blank line of the CSV file
+    at ``path``, fields stripped; line 1, blank or not, goes to ``header`` if
+    given. Their ValueErrors name the path and the line."""
+    with open(path, "r") as handle:
+        lines = handle.read().splitlines() or [""]
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        read = header if lineno == 1 and header else parse
+        if read is header or line.strip():
+            try:
+                rows.append((lineno, read([f.strip() for f in line.split(",")])))
+            except (ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    return rows[1:] if header else rows
 
 
 def atomic_write(path: str | os.PathLike, chunks) -> None:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_finite, as_generator, derived_rng, write_json
+from ._util import as_finite, as_generator, as_integer, derived_rng, write_json
 from .diagrams import PersistenceDiagram
 from .errors import ValidationError
 from .intensity import GaussianMixtureIntensity, MixtureComponent, squared_distance
@@ -122,8 +122,7 @@ def bayes_factor(model1: ClassModel, model2: ClassModel,
     equal prior masses they cancel exactly. Assigns ``model1.label`` when
     ``log_bf > log(threshold)``, else ``model2.label``.
     """
-    if as_finite(threshold, "threshold") <= 0:
-        raise ValidationError("threshold must be > 0")
+    as_finite(threshold, "threshold", gt=0)
     m1, d1 = _log_density_parts(model1.posterior, diagram, mode)
     m2, d2 = _log_density_parts(model2.posterior, diagram, mode)
     if math.isinf(d1) and math.isinf(d2):
@@ -206,12 +205,17 @@ def _kmeans_restarts(points: np.ndarray, k: int,
     return np.moveaxis(centers, 0, 2), d2.sum(axis=1)
 
 
+def _check_k(k) -> None:
+    """The rule for a k-means cluster count: an int >= 1, not a bool or a float."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+
+
 def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, the first of least
     inertia wins, its centers sorted lexicographically."""
+    _check_k(k)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     n_distinct = len(np.unique(points, axis=0))
     if k > n_distinct:
         raise ValidationError(
@@ -308,15 +312,11 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in ("kmeans", "flat"):
             raise ValidationError(f"prior kind must be 'kmeans' or 'flat', got {self.kind!r}")
-        if (isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer))
-                or self.k < 1):
-            raise ValidationError(f"k must be an integer >= 1, got {self.k!r}")
-        as_finite(self.variance, "variance")
-        as_finite(self.weight, "weight")
+        _check_k(self.k)
+        as_finite(self.variance, "variance", gt=0)
+        as_finite(self.weight, "weight", gt=0)
         for coordinate in self.mean:
             as_finite(coordinate, "mean")
-        if self.variance <= 0 or self.weight <= 0:
-            raise ValidationError("variance and weight must be > 0")
 
     def build(self, training: Sequence[PersistenceDiagram],
               rng_seed) -> GaussianMixtureIntensity:
@@ -344,10 +344,8 @@ class CrossValidationConfig:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if self.folds < 2:
-            raise ValidationError("folds must be >= 2")
-        if as_finite(self.threshold, "threshold") <= 0:
-            raise ValidationError("threshold must be > 0")
+        as_integer(self.folds, "folds", ge=2)
+        as_finite(self.threshold, "threshold", gt=0)
         if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
             raise ValidationError(f"labels must be two distinct names, got {self.labels!r}")
 

@@ -211,17 +211,17 @@ def _cmd_simulate_diagram(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    prior = parse_prior_mode(args.prior_mode)
     class1 = _read_diagram_dir(args.class1_dir, 1)
     class2 = _read_diagram_dir(args.class2_dir, 1)
-    clutter = (read_mixture_json(args.clutter) if args.clutter
-               else GaussianMixtureIntensity([]))
+    clutter = read_mixture_json(args.clutter) if args.clutter else GaussianMixtureIntensity()
     observation = ObservationModel(args.alpha, args.sigma_yo, clutter)
     labels = (Path(args.class1_dir).name or "class1",
               Path(args.class2_dir).name or "class2")
     if labels[0] == labels[1]:
         labels = ("class1", "class2")
     config = CrossValidationConfig(
-        observation=observation, prior=parse_prior_mode(args.prior_mode),
+        observation=observation, prior=prior,
         folds=args.folds, threshold=args.threshold, mode=args.mode,
         rng_seed=args.seed, labels=labels)
     report = cross_validate(class1, class2, config)

@@ -15,13 +15,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_integer, read_json, write_csv, write_json
+from ._util import (as_finite, as_integer, json_object, read_csv_rows, read_json,
+                    write_csv, write_json)
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
 MAX_HOMOLOGY_DIM = 2
 
 CSV_HEADER = "birth,death,dim"
+
+
+def _columns(births, deaths, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float births and deaths and the dims, as 1-D arrays of one length."""
+    births = np.atleast_1d(np.asarray(births, dtype=np.float64))
+    deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64))
+    dims = np.atleast_1d(np.asarray(dims))
+    if births.ndim != 1 or births.shape != deaths.shape or births.shape != dims.shape:
+        raise ValidationError("births, deaths and dims must be 1-D arrays of equal length")
+    return births, deaths, dims
 
 
 def _first_invalid(births, deaths, dims) -> tuple[int, str] | None:
@@ -63,12 +74,7 @@ class PersistenceDiagram:
                  "_tilted")
 
     def __init__(self, births, deaths, dims, *, n_dropped_infinite: int = 0):
-        births = np.atleast_1d(np.asarray(births, dtype=np.float64)).copy()
-        deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64)).copy()
-        dims_arr = np.atleast_1d(np.asarray(dims))
-        if births.ndim != 1 or births.shape != deaths.shape or births.shape != dims_arr.shape:
-            raise ValidationError(
-                "births, deaths and dims must be 1-D arrays of equal length")
+        births, deaths, dims_arr = _columns(births, deaths, dims)
         if dims_arr.size and not np.issubdtype(dims_arr.dtype, np.integer):
             if not np.all(dims_arr == np.floor(dims_arr)):
                 raise ValidationError("homology dimensions must be integers")
@@ -77,8 +83,8 @@ class PersistenceDiagram:
             raise ValidationError("feature {}: {}".format(*invalid))
         dims_arr = dims_arr.astype(np.int64)
 
-        self.births = births
-        self.deaths = deaths
+        self.births = births.copy()
+        self.deaths = deaths.copy()
         self.persistences = deaths - births
         self.dims = dims_arr
         self.n_dropped_infinite = int(n_dropped_infinite)
@@ -95,12 +101,7 @@ class PersistenceDiagram:
         Features with infinite death (essential classes) are dropped; the
         count is kept in ``n_dropped_infinite``.
         """
-        births = np.atleast_1d(np.asarray(births, dtype=np.float64))
-        deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64))
-        dims = np.atleast_1d(np.asarray(dims))
-        if births.shape != deaths.shape or births.shape != dims.shape:
-            raise ValidationError(
-                "births, deaths and dims must have equal length")
+        births, deaths, dims = _columns(births, deaths, dims)
         keep = ~np.isposinf(deaths)
         return cls(births[keep], deaths[keep], dims[keep],
                    n_dropped_infinite=int(np.count_nonzero(~keep)))
@@ -113,14 +114,12 @@ class PersistenceDiagram:
         re-derived from it, so coordinates may shift by one ulp relative to
         the inputs but all views of the resulting diagram are consistent.
         """
-        births = np.atleast_1d(np.asarray(births, dtype=np.float64))
-        persistences = np.atleast_1d(np.asarray(persistences, dtype=np.float64))
+        births, persistences, dims = _columns(births, persistences, dims)
         bad = ~np.isfinite(persistences) | (persistences < 0)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ValidationError(
-                f"feature {i}: persistence must be finite and >= 0, "
-                f"got {float(persistences[i])}")
+            raise ValidationError(f"feature {i}: persistence must be finite and >= 0, "
+                                  f"got {float(persistences[i])}")
         return cls(births, births + persistences, dims)
 
     @classmethod
@@ -193,25 +192,17 @@ def read_diagram_csv(path) -> PersistenceDiagram:
     Parse and validation errors name the offending line. Features with
     infinite death are dropped (counted on the returned diagram).
     """
-    with open(path, "r") as handle:
-        lines = handle.read().splitlines()
-    if not lines or [f.strip() for f in lines[0].split(",")] != ["birth", "death", "dim"]:
-        raise ValidationError(
-            f"{path}: line 1: expected header '{CSV_HEADER}'")
-    rows, where = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
+    def header(fields):
+        if fields != ["birth", "death", "dim"]:
+            raise ValidationError(f"expected header '{CSV_HEADER}'")
+
+    def parse(fields):
         if len(fields) != 3:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-        try:
-            rows.append((float(fields[0]), float(fields[1]), float(int(fields[2]))))
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        where.append(f"line {lineno}")
-    return _from_rows(path, rows, where)
+            raise ValidationError(f"expected 3 fields, got {len(fields)}")
+        return float(fields[0]), float(fields[1]), float(int(fields[2]))
+
+    lines = read_csv_rows(path, parse, header)
+    return _from_rows(path, [row for _, row in lines], [f"line {n}" for n, _ in lines])
 
 
 def _from_rows(path, rows: list[tuple[float, float, float]], where) -> PersistenceDiagram:
@@ -238,14 +229,12 @@ def read_diagram_json(path) -> PersistenceDiagram:
         raise ValidationError(f"{path}: expected a JSON array of features")
     rows = []
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or set(rec) != {"birth", "death", "dim"}:
-            raise ValidationError(
-                f"{path}: feature {i}: expected keys birth, death, dim")
-        try:
-            rows.append((float(rec["birth"]), float(rec["death"]),
-                         float(as_integer(rec["dim"], "homology dimension"))))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}: feature {i}: {exc}") from None
+        with json_object(rec, f"{path}: feature {i}", ("birth", "death", "dim")):
+            # float coordinates, NaN and +-inf included, meet the feature rules
+            birth, death = (rec[key] if isinstance(rec[key], float) else as_finite(rec[key], key)
+                            for key in ("birth", "death"))
+            dim = as_integer(rec["dim"], "homology dimension")
+            rows.append((birth, death, as_finite(dim, "homology dimension")))  # > binary64: refused
     return _from_rows(path, rows, [f"feature {i}" for i in range(len(rows))])
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ._util import field_errors, from_json, write_json
+from ._util import as_finite, from_json, json_object, write_json
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -195,28 +195,20 @@ class MixtureComponent:
     variance: float
 
     def __post_init__(self):
-        mean = tuple(float(m) for m in self.mean)
-        if len(mean) != 2 or not all(np.isfinite(mean)):
-            raise ValidationError(f"component mean must be a finite 2-vector, got {mean}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "variance", float(self.variance))
-        if not np.isfinite(self.weight) or self.weight <= 0:
-            raise ValidationError(f"component weight must be > 0, got {self.weight!r}")
-        if not np.isfinite(self.variance) or self.variance <= 0:
-            raise ValidationError(f"component variance must be > 0, got {self.variance!r}")
+        if not isinstance(self.mean, (list, tuple, np.ndarray)) or len(self.mean) != 2:
+            raise ValidationError(f"mean must be a 2-vector, got {self.mean!r}")
+        object.__setattr__(self, "mean", tuple(as_finite(m, "mean") for m in self.mean))
+        object.__setattr__(self, "weight", as_finite(self.weight, "weight", gt=0))
+        object.__setattr__(self, "variance", as_finite(self.variance, "variance", gt=0))
 
     def to_dict(self) -> dict:
         return {"weight": self.weight, "mean": list(self.mean),
                 "variance": self.variance}
 
     @classmethod
-    @field_errors("mixture component")
-    def from_dict(cls, data: dict) -> "MixtureComponent":
-        if not isinstance(data, dict) or set(data) != {"weight", "mean", "variance"}:
-            raise ValidationError(
-                f"mixture component must have keys weight, mean, variance, got {data!r}")
-        return cls(data["weight"], tuple(data["mean"]), data["variance"])
+    def from_dict(cls, data: dict, what: str = "mixture component") -> "MixtureComponent":
+        with json_object(data, what, ("weight", "mean", "variance")):
+            return cls(data["weight"], data["mean"], data["variance"])
 
 
 class GaussianMixtureIntensity:
@@ -299,10 +291,11 @@ class GaussianMixtureIntensity:
         return [c.to_dict() for c in self.components]
 
     @classmethod
-    def from_list(cls, data: Sequence[dict]) -> "GaussianMixtureIntensity":
+    def from_list(cls, data: list, what: str = "mixture") -> "GaussianMixtureIntensity":
         if not isinstance(data, (list, tuple)):
-            raise ValidationError("mixture JSON must be an array of components")
-        return cls(MixtureComponent.from_dict(d) for d in data)
+            raise ValidationError(f"{what} must be a JSON array of components")
+        return cls(MixtureComponent.from_dict(d, f"{what}: component {i}")
+                   for i, d in enumerate(data))
 
 
 def write_mixture_json(mixture: GaussianMixtureIntensity, path) -> None:

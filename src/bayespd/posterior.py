@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ._floatfmt import BLOCK, repr_rows
-from ._util import as_finite, atomic_write, field_errors
+from ._util import as_finite, atomic_write, json_object
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, canonical_terms, gaussian_density,
@@ -57,13 +57,11 @@ class ObservationModel:
     clutter: GaussianMixtureIntensity = GaussianMixtureIntensity()
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "likelihood_variance",
-                           float(self.likelihood_variance))
+        object.__setattr__(self, "alpha", as_finite(self.alpha, "alpha"))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if as_finite(self.likelihood_variance, "likelihood_variance") <= 0:
-            raise ValidationError("likelihood_variance must be > 0")
+        object.__setattr__(self, "likelihood_variance", as_finite(
+            self.likelihood_variance, "likelihood_variance", gt=0))
         if not isinstance(self.clutter, GaussianMixtureIntensity):
             raise ValidationError("clutter must be a GaussianMixtureIntensity")
 
@@ -73,14 +71,10 @@ class ObservationModel:
                 "clutter": self.clutter.to_list()}
 
     @classmethod
-    @field_errors("observation model")
-    def from_dict(cls, data: dict) -> "ObservationModel":
-        if not isinstance(data, dict) or set(data) != {
-                "alpha", "likelihood_variance", "clutter"}:
-            raise ValidationError(
-                "observation model must have keys alpha, likelihood_variance, clutter")
-        return cls(data["alpha"], data["likelihood_variance"],
-                   GaussianMixtureIntensity.from_list(data["clutter"]))
+    def from_dict(cls, data: dict, what: str = "observation model") -> "ObservationModel":
+        with json_object(data, what, ("alpha", "likelihood_variance", "clutter")):
+            return cls(data["alpha"], data["likelihood_variance"],
+                       GaussianMixtureIntensity.from_list(data["clutter"], "clutter"))
 
 
 class PosteriorIntensity:

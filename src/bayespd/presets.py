@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import as_finite, as_integer, derived_rng, field_errors, write_json
+from ._util import as_finite, as_integer, derived_rng, json_object, write_json
 from .classify import PRIOR_SPECS, CrossValidationConfig, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
@@ -102,17 +102,13 @@ class ExperimentConfig:
             raise ValidationError(
                 f"experiment kind must be 'circle-posterior' or 'lattice-cv', "
                 f"got {self.kind!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        as_integer(self.seed, "seed", ge=0)
         if self.kind == "circle-posterior":
             if self.prior is None or self.observation is None:
-                raise ValidationError(
-                    "circle-posterior experiments need a prior and an "
-                    "observation model")
-            if self.circle_n < 4:
-                raise ValidationError("circle_n must be >= 4")
-            if as_finite(self.circle_noise_variance, "circle_noise_variance") < 0:
-                raise ValidationError("circle_noise_variance must be >= 0")
+                raise ValidationError("circle-posterior experiments need a prior and an "
+                                      "observation model")
+            as_integer(self.circle_n, "circle_n", ge=4)
+            as_finite(self.circle_noise_variance, "circle_noise_variance", ge=0)
         else:
             # the run's own specs check their fields before anything is written
             self.lattice_spec("bcc")
@@ -157,43 +153,41 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    @field_errors("experiment config")
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValidationError("experiment config must be a JSON object")
-        kind = data.get("kind")
-        seed = as_integer(data.get("seed", 7), "seed")
-        fields = {}
-        if kind == "circle-posterior":
-            required = {"kind", "prior", "observation", "data"}
-            unknown = set(data) - required - {"name", "seed", "grid"}
-            if unknown or not required <= set(data):
-                raise ValidationError(
-                    f"circle-posterior config needs keys {sorted(required)} "
-                    f"(optional: name, seed, grid); got {sorted(data)}")
-            grid_spec = data.get("grid", list(astuple(DEFAULT_GRID)))
-            if len(grid_spec) != 6:
-                raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
-            fields = dict(
-                prior=GaussianMixtureIntensity.from_list(data["prior"]),
-                observation=ObservationModel.from_dict(data["observation"]),
-                circle_n=as_integer(data["data"].get("n", 50), "data.n"),
-                circle_noise_variance=float(data["data"].get("noise_variance", 0.001)),
-                grid=Grid(*[float(v) for v in grid_spec[:4]],
-                          as_integer(grid_spec[4], "grid nx"),
-                          as_integer(grid_spec[5], "grid ny")))
-        elif kind == "lattice-cv":
-            lattice = data.get("lattice", {})
-            observation = data.get("observation")
-            fields = dict(
-                observation=ObservationModel.from_dict(observation)
-                if observation else None,
-                n_per_class=as_integer(data.get("n_per_class", 200), "n_per_class"),
-                lattice_cells=as_integer(lattice.get("cells", 2), "lattice.cells"),
-                lattice_constant=float(lattice.get("lattice_constant", 2.0)),
-                lattice_retention=float(lattice.get("retention", 0.35)),
-                folds=as_integer(data.get("folds", 10), "folds"))
-        return cls(name=data.get("name", "custom"), kind=kind, seed=seed, **fields)
+        kind = data.get("kind") if isinstance(data, dict) else None
+        circle = kind == "circle-posterior"
+        required = ("kind", "prior", "observation", "data") if circle else ("kind",)
+        optional = (("name", "seed", "grid") if circle else
+                    ("name", "seed", "observation", "n_per_class", "lattice", "folds")
+                    if kind == "lattice-cv" else data)  # the constructor refuses the kind
+        with json_object(data, "experiment config", required, optional):
+            fields = dict(name=data.get("name", "custom"), kind=kind,
+                          seed=as_integer(data.get("seed", 7), "seed"))
+            if data.get("observation") is not None:
+                fields["observation"] = ObservationModel.from_dict(data["observation"],
+                                                                   "observation")
+            if circle:
+                grid = data.get("grid", list(astuple(DEFAULT_GRID)))
+                if not isinstance(grid, list) or len(grid) != 6:
+                    raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
+                with json_object(data["data"], "data", (), ("n", "noise_variance")) as sample:
+                    n, noise_variance = sample.get("n", 50), sample.get("noise_variance", 0.001)
+                    fields.update(circle_n=as_integer(n, "n"), circle_noise_variance=as_finite(
+                        noise_variance, "noise_variance"))
+                fields.update(
+                    prior=GaussianMixtureIntensity.from_list(data["prior"], "prior"),
+                    grid=Grid(*[as_finite(v, "grid extents") for v in grid[:4]],
+                              as_integer(grid[4], "grid nx"), as_integer(grid[5], "grid ny")))
+            elif kind == "lattice-cv":
+                with json_object(data.get("lattice", {}), "lattice", (),
+                                 ("cells", "lattice_constant", "retention")) as lattice:
+                    spec = LatticeSpec("bcc", **lattice)
+                fields.update(
+                    lattice_cells=spec.cells, lattice_constant=spec.lattice_constant,
+                    lattice_retention=spec.retention,
+                    n_per_class=as_integer(data.get("n_per_class", 200), "n_per_class"),
+                    folds=as_integer(data.get("folds", 10), "folds"))
+            return cls(**fields)
 
 
 def aptlike_observation_model() -> ObservationModel:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import as_integer, read_csv_rows, write_csv
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
@@ -67,12 +67,10 @@ class FiltrationParams:
 
     def __post_init__(self):
         if not 0 <= self.max_homology_dim <= MAX_HOMOLOGY_DIM:
-            raise ValidationError(
-                f"max_homology_dim must be in 0..{MAX_HOMOLOGY_DIM}")
+            raise ValidationError(f"max_homology_dim must be in 0..{MAX_HOMOLOGY_DIM}")
         if not self.max_radius > 0:
             raise ValidationError("max_radius must be > 0")
-        if self.simplex_budget < 1:
-            raise ValidationError("simplex_budget must be >= 1")
+        as_integer(self.simplex_budget, "simplex_budget", ge=1)
 
 
 def rips_persistence(cloud: PointCloud,
@@ -268,24 +266,16 @@ def write_point_cloud_csv(cloud: PointCloud, path) -> None:
 
 
 def read_point_cloud_csv(path, *, skip_header: bool = False) -> PointCloud:
-    with open(path, "r") as handle:
-        lines = handle.read().splitlines()[1 if skip_header else 0:]
-    rows, width = [], None
-    for lineno, line in enumerate(lines, start=2 if skip_header else 1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        try:
-            row = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {width} coordinates, "
-                f"got {len(row)}")
-        rows.append(row)
+    widths = []  # every row must have the width of the first
+
+    def parse(fields):
+        row = [float(f) for f in fields]
+        widths.append(len(row))
+        if len(row) != widths[0]:
+            raise ValidationError(f"expected {widths[0]} coordinates, got {len(row)}")
+        return row
+
+    rows = [row for _, row in read_csv_rows(path, parse, header=list if skip_header else None)]
     if not rows:
         raise ValidationError(f"{path}: no points found")
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_finite, as_generator
+from ._util import as_finite, as_generator, as_integer
 from .diagrams import PersistenceDiagram
 from .errors import SamplingError, ValidationError
 from .intensity import GaussianMixtureIntensity, wedge_gaussian_mass
@@ -44,18 +44,15 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.structure not in ("bcc", "fcc"):
-            raise ValidationError(
-                f"structure must be 'bcc' or 'fcc', got {self.structure!r}")
-        if self.cells < 1:
-            raise ValidationError("cells must be >= 1")
-        if as_finite(self.lattice_constant, "lattice_constant") <= 0:
-            raise ValidationError("lattice_constant must be > 0")
+            raise ValidationError(f"structure must be 'bcc' or 'fcc', got {self.structure!r}")
+        object.__setattr__(self, "cells", as_integer(self.cells, "cells", ge=1))
+        object.__setattr__(self, "lattice_constant", as_finite(
+            self.lattice_constant, "lattice_constant", gt=0))
+        object.__setattr__(self, "retention", as_finite(self.retention, "retention"))
         if not 0.0 < self.retention <= 1.0:
             raise ValidationError("retention must be in (0, 1]")
-        if self.noise_sd is None:
-            object.__setattr__(self, "noise_sd", 0.05 * self.lattice_constant)
-        elif as_finite(self.noise_sd, "noise_sd") < 0:
-            raise ValidationError("noise_sd must be >= 0")
+        object.__setattr__(self, "noise_sd", as_finite(self.noise_sd, "noise_sd", ge=0)
+                           if self.noise_sd is not None else 0.05 * self.lattice_constant)
 
 
 def _sample_wedge_gaussian(rng: np.random.Generator, mean, variance,
@@ -165,10 +162,8 @@ def sample_noisy_circle(n: int = 50, noise_variance: float = 0.01,
                         rng_seed=0) -> PointCloud:
     """``n`` points at uniform angles on the unit circle plus isotropic
     Gaussian noise of the given variance per coordinate."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if as_finite(noise_variance, "noise_variance") < 0:
-        raise ValidationError("noise_variance must be >= 0")
+    n = as_integer(n, "n", ge=1)
+    as_finite(noise_variance, "noise_variance", ge=0)
     rng = as_generator(rng_seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])

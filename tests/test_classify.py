@@ -246,8 +246,11 @@ def test_kmeans_k1_is_mean_and_lexsort_breaks_ties():
 def test_kmeans_validation():
     with pytest.raises(ValidationError, match="k="):
         kmeans(cluster_points(), 4, 0)  # only 3 distinct locations
-    with pytest.raises(ValidationError, match="k must be"):
-        kmeans(cluster_points(), 0, 0)
+    # PriorSpec's rule for k, in its words
+    for k in (0, 2.5, True):
+        with pytest.raises(ValidationError) as info:
+            kmeans(cluster_points(), k, 0)
+        assert str(info.value) == f"k must be an integer >= 1, got {k!r}"
 
 
 def oracle_kmeans_once(points, k, rng):

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from bayespd import (GaussianMixtureIntensity, MixtureComponent, PriorSpec,
-                     UsageError, sample_poisson_pp, write_diagram,
+from bayespd import (GaussianMixtureIntensity, MixtureComponent, ObservationModel,
+                     PriorSpec, UsageError, sample_poisson_pp, write_diagram,
                      write_mixture_json, write_point_cloud_csv)
 from bayespd._util import derived_rng
 from bayespd.classify import PRIOR_SPECS
@@ -55,7 +56,7 @@ def test_parse_prior_mode_kmeans():
         parse_prior_mode("kmeans:k=lots")
     with pytest.raises(UsageError, match="--prior-mode: variance must be finite"):
         parse_prior_mode("kmeans:var=nan")
-    with pytest.raises(UsageError, match="--prior-mode: variance and weight must be > 0"):
+    with pytest.raises(UsageError, match=r"--prior-mode: variance must be > 0, got -1\.0"):
         parse_prior_mode("kmeans:var=-1")
     with pytest.raises(UsageError, match="--prior-mode: k must be an integer >= 1, got 0"):
         parse_prior_mode("kmeans:k=0")
@@ -230,6 +231,12 @@ def test_classify_command(tmp_path, capsys):
                  "--report", str(report_path)]) == 2
     assert "not a directory" in capsys.readouterr().err
 
+    # the mode is parsed before the directories are read
+    assert main(["classify", "--class1-dir", str(tmp_path / "missing"),
+                 "--class2-dir", str(tmp_path / "blobs"), "--prior-mode",
+                 "kmeans:k=0", "--report", str(report_path)]) == 1
+    assert "k must be an integer >= 1, got 0" in capsys.readouterr().err
+
 
 # -- experiment ---------------------------------------------------------------------
 
@@ -346,6 +353,108 @@ def test_config_validate_rejects_malformed_field_values(tmp_path, capsys, conten
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+# -- strict JSON: numbers are JSON numbers, objects have no unknown keys ---------
+
+CLUTTERED_MODEL = dict(GOOD_MODEL, clutter=[dict(GOOD_COMPONENT, mean=[0.5, 0.0])])
+
+#: A valid document of every JSON reader, with the name its errors start with.
+JSON_DOCUMENTS = {
+    "mixture": ("mixture", [GOOD_COMPONENT, dict(GOOD_COMPONENT, weight=2)]),
+    "observation-model": ("observation model", CLUTTERED_MODEL),
+    "circle-experiment": ("experiment config", {
+        "kind": "circle-posterior", "name": "strict", "seed": 3,
+        "prior": [GOOD_COMPONENT], "observation": CLUTTERED_MODEL,
+        "data": {"n": 30, "noise_variance": 0.01}, "grid": [0, 3, 0, 3.0, 20, 20]}),
+    "lattice-experiment": ("experiment config", {
+        "kind": "lattice-cv", "seed": 3, "n_per_class": 4, "folds": 2,
+        "lattice": {"cells": 2, "lattice_constant": 2.0, "retention": 0.5},
+        "observation": CLUTTERED_MODEL}),
+    "diagram": (None, [{"birth": 0.0, "death": 1.0, "dim": 1},
+                       {"birth": 0, "death": 2, "dim": 0}]),
+}
+
+
+def key_path(top, path) -> str:
+    """The key path an error names for the node at ``path``: list items are a
+    mixture's components or a diagram's features, a grid entry is named by
+    its role and a mean coordinate by its vector."""
+    words = [top] if top else []
+    for parent, key in zip((None, *path), path):
+        if parent == "grid":
+            words[-1] = (("grid extents",) * 4 + ("grid nx", "grid ny"))[key]
+        elif isinstance(key, int) and parent != "mean":
+            words.append(f"{'feature' if top is None else 'component'} {key}")
+        elif isinstance(key, str):
+            words.append({"dim": "homology dimension"}.get(key, key))
+    return ": ".join(words)
+
+
+def json_nodes(node, path=()):
+    """(path, node) of every number and every object in a JSON document."""
+    if isinstance(node, dict) or isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_nodes(child, (*path, key))
+
+
+def with_node(document, path, value):
+    """A copy of ``document`` whose node at ``path`` is ``value``."""
+    if not path:
+        return value
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+def strict_json_cases():
+    """A string, a bool and null in every number, and an unknown key in every
+    object, of every JSON document, with the start of the message each gets."""
+    for name, (top, document) in JSON_DOCUMENTS.items():
+        for path, node in json_nodes(document):
+            where = "/".join(map(str, path)) or "top"
+            if isinstance(node, dict):
+                yield pytest.param(with_node(document, path, {**node, "zzz": 1}),
+                                   f"{key_path(top, path)}: unknown keys ['zzz']",
+                                   id=f"{name}-{where}-unknown-key")
+                continue
+            for bad in ("1", True, None):
+                yield pytest.param(with_node(document, path, bad),
+                                   f"{key_path(top, path)} must be ",
+                                   id=f"{name}-{where}-{json.dumps(bad)}")
+
+
+@pytest.mark.parametrize("content, message", strict_json_cases())
+def test_config_validate_names_the_key_path_of_a_bad_json_value(tmp_path, capsys, content,
+                                                                 message):
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(content))
+    assert main(["config-validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_strict_json_documents_are_valid(tmp_path, capsys):
+    for name, (_, document) in JSON_DOCUMENTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        assert main(["config-validate", str(path)]) == 0, capsys.readouterr().err
+
+
+def test_constructors_accept_numpy_scalars():
+    component = MixtureComponent(np.float32(2.0), (np.float32(0.5), np.int64(1)),
+                                 np.float64(0.25))
+    assert (component.weight, component.mean, component.variance) == (2.0, (0.5, 1.0), 0.25)
+    assert all(type(v) is float for v in (component.weight, *component.mean))
+    model = ObservationModel(np.float32(0.5), np.int64(1))
+    assert (model.alpha, model.likelihood_variance) == (0.5, 1.0)
+    spec = PriorSpec("kmeans", k=np.int64(2), variance=np.float32(2.0), weight=np.int64(1),
+                     mean=(np.float64(1.0), np.int32(1)))
+    assert spec.k == 2
+
+
 CIRCLE_CONFIG = {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],
                  "observation": GOOD_MODEL, "data": {"n": 30}}
 
@@ -354,14 +463,14 @@ CIRCLE_CONFIG = {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],
     ({"kind": "lattice-cv", "seed": 1.5}, "seed"),
     ({"kind": "lattice-cv", "n_per_class": 20.7}, "n_per_class"),
     ({"kind": "lattice-cv", "folds": 2.5}, "folds"),
-    ({"kind": "lattice-cv", "lattice": {"cells": 2.5}}, "lattice.cells"),
-    (dict(CIRCLE_CONFIG, data={"n": 30.5}), "data.n"),
+    ({"kind": "lattice-cv", "lattice": {"cells": 2.5}}, "lattice: cells"),
+    (dict(CIRCLE_CONFIG, data={"n": 30.5}), "data: n"),
     (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50.5, 50]), "grid nx"),
     (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, 50, 50.5]), "grid ny"),
     ({"kind": "lattice-cv", "seed": "3", "n_per_class": 20}, "seed"),
     ({"kind": "lattice-cv", "n_per_class": "20"}, "n_per_class"),
-    ({"kind": "lattice-cv", "lattice": {"cells": True}}, "lattice.cells"),
-    (dict(CIRCLE_CONFIG, data={"n": "30"}), "data.n"),
+    ({"kind": "lattice-cv", "lattice": {"cells": True}}, "lattice: cells"),
+    (dict(CIRCLE_CONFIG, data={"n": "30"}), "data: n"),
     (dict(CIRCLE_CONFIG, grid=[0, 3, 0, 3, True, 50]), "grid nx"),
     ([{"birth": 0.0, "death": 1.0, "dim": "1"}], "homology dimension"),
     ([{"birth": 0.0, "death": 1.0, "dim": True}], "homology dimension"),
@@ -418,15 +527,16 @@ def test_negative_seeds_are_rejected_up_front(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert "must be >= 0, got -" in err
     if code == 2:
-        assert err.startswith(f"error: {config}: seed must be >= 0, got -5")
+        assert err.startswith(f"error: {config}: experiment config: seed must be >= 0, got -5")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value, what", [
-    ("data", "noise_variance", float("nan"), "circle_noise_variance"),
-    ("data", "noise_variance", float("inf"), "circle_noise_variance"),
-    ("observation", "likelihood_variance", float("inf"), "likelihood_variance"),
-    ("grid", 1, float("inf"), "grid extents"),
+    ("data", "noise_variance", float("nan"), "experiment config: data: noise_variance"),
+    ("data", "noise_variance", float("inf"), "experiment config: data: noise_variance"),
+    ("observation", "likelihood_variance", float("inf"),
+     "experiment config: observation: likelihood_variance"),
+    ("grid", 1, float("inf"), "experiment config: grid extents"),
 ], ids=["noise-variance-nan", "noise-variance-inf", "likelihood-variance-inf",
         "grid-extent-inf"])
 def test_non_finite_circle_fields_fail_validation(tmp_path, capsys, section,

@@ -72,8 +72,11 @@ def test_validation_errors():
         assert str(info.value) == message
     with pytest.raises(ValidationError, match="dimension"):
         PersistenceDiagram([0.0], [1.0], [3])
-    with pytest.raises(ValidationError, match="equal length"):
-        PersistenceDiagram([0.0, 1.0], [1.0], [0])
+    for build in (PersistenceDiagram, PersistenceDiagram.from_birth_death,
+                  PersistenceDiagram.from_tilted):
+        with pytest.raises(ValidationError) as info:
+            build([0.0, 1.0], [1.0], [0])
+        assert str(info.value) == "births, deaths and dims must be 1-D arrays of equal length"
     with pytest.raises(ValidationError, match="integer"):
         PersistenceDiagram([0.0], [1.0], [0.5])
     with pytest.raises(ValidationError) as info:
@@ -182,6 +185,20 @@ def test_csv_reader_reports_line_numbers(tmp_path):
     path.write_text("birth,death,dim\n0.0,1.0\n")
     with pytest.raises(ValidationError, match="line 2"):
         read_diagram_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: expected header 'birth,death,dim'"),
+    ("\nbirth,death,dim\n", "line 1: expected header 'birth,death,dim'"),
+    (" birth , death , dim \n\n0,1\n", "line 3: expected 3 fields, got 2"),
+    ("birth,death,dim\n0,1,x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+], ids=["empty", "blank-first-line", "field-count", "dim"])
+def test_csv_reader_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        read_diagram_csv(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_csv_reader_skips_blank_lines(tmp_path):

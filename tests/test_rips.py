@@ -283,6 +283,22 @@ def test_point_cloud_csv_errors(tmp_path):
     assert parsed.points.tolist() == [[0.5, 0.5]]
 
 
+@pytest.mark.parametrize("text, skip_header, message", [
+    ("0,0\n\n1,2,3\nzap,1\n", False, "line 3: expected 2 coordinates, got 3"),
+    ("0,0\n 1 , zap \n", False, "line 2: could not convert string to float: 'zap'"),
+    ("\n\n", False, "no points found"),
+    ("", True, "no points found"),
+    ("\n0,inf\n", True, "point coordinates must be finite"),
+], ids=["width-before-a-later-parse-error", "parse", "blank", "empty-with-header",
+        "non-finite"])
+def test_point_cloud_csv_error_messages(tmp_path, text, skip_header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        read_point_cloud_csv(path, skip_header=skip_header)
+    assert str(info.value) == f"{path}: {message}"
+
+
 # -- differential test against the boundary-matrix reducer ----------------------
 
 def oracle_filtration(cloud, params):
