@@ -26,7 +26,8 @@ from .intensity import (GaussianMixtureIntensity, MixtureComponent,
 from .posterior import (Grid, ObservationModel, PosteriorIntensity,
                         posterior_closed_form, posterior_numeric_oracle,
                         scaled_intensity_grid, write_grid_csv)
-from .presets import (CASE_PRESETS, PRIOR_PRESETS, ExperimentConfig,
+from .presets import (CASE_PRESETS, PRIOR_PRESETS, CircleExperiment,
+                      ExperimentConfig, LatticeExperiment,
                       aptlike_observation_model, case_observation_model,
                       experiment_preset, experiment_presets, h1_diagram,
                       prior_preset, run_experiment)
@@ -41,9 +42,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesFactorReport", "BayesFactorResult", "BayesPDError", "CASE_PRESETS",
-    "ClassModel", "CrossValidationConfig", "DegenerateObservationError",
+    "CircleExperiment", "ClassModel", "CrossValidationConfig", "DegenerateObservationError",
     "ExperimentConfig", "FiltrationParams", "GaussianMixtureIntensity",
-    "Grid", "LatticeSpec", "MixtureComponent", "NumericalError",
+    "Grid", "LatticeExperiment", "LatticeSpec", "MixtureComponent", "NumericalError",
     "ObservationModel", "PRIOR_PRESETS", "PersistenceDiagram", "PointCloud",
     "PosteriorIntensity", "PriorSpec", "QuadratureError", "SamplingError",
     "SimplexBudgetError", "UsageError", "ValidationError", "adaptive_quad_2d",

@@ -49,6 +49,8 @@ def read_json(path: str | os.PathLike):
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a 4301-digit int, deep nesting
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def from_json(path: str | os.PathLike, build):
@@ -87,7 +89,21 @@ def as_finite(value, what: str, *, gt=None, ge=None) -> float:
     return number
 
 
-class json_object:
+class key_path:
+    """Run the block on ``data``; its ValidationErrors get ``what`` as a key-path prefix."""
+
+    def __init__(self, what, data=None):
+        self.what, self.data = what, data
+
+    def __enter__(self):
+        return self.data
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValidationError):
+            raise ValidationError(f"{self.what}: {exc}") from None
+
+
+class json_object(key_path):
     """Run the block on ``data``, a JSON object with every ``required`` key and no
     others but ``optional``; its ValidationErrors get ``what`` as a key-path prefix."""
 
@@ -99,14 +115,7 @@ class json_object:
                                ("missing", set(required) - data.keys())):
                 if keys:
                     raise ValidationError(f"{what}: {kind} keys {sorted(keys)}")
-        self.data, self.what = data, what
-
-    def __enter__(self) -> dict:
-        return self.data
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, ValidationError):
-            raise ValidationError(f"{self.what}: {exc}") from None
+        super().__init__(what, data)
 
 
 def read_csv_rows(path: str | os.PathLike, parse, header=None) -> list:

@@ -245,16 +245,7 @@ def _cmd_experiment(args) -> int:
     config = (experiment_preset(args.preset) if args.config is None
               else from_json(args.config, ExperimentConfig.from_dict))
     manifest = run_experiment(config, args.outdir, seed=args.seed)
-    if config.kind == "circle-posterior":
-        argmax = manifest["posterior_argmax"]
-        print(f"{config.name}: posterior argmax ({argmax['x']:.4f}, "
-              f"{argmax['y']:.4f}), total mass "
-              f"{manifest['masses']['total']:.6g}; outputs in {args.outdir}")
-    else:
-        for prior_name, result in sorted(manifest["results"].items()):
-            print(f"{config.name} [{prior_name}]: mean AUC "
-                  f"{result['mean_auc']:.4f}")
-        print(f"outputs in {args.outdir}")
+    print(config.summary(manifest, args.outdir))
     return 0
 
 
@@ -265,10 +256,9 @@ def _cmd_config_validate(args) -> int:
         print(f"OK: {path}: {_validate_config_file(path)}")
     if args.all_presets:
         for name, config in sorted(experiment_presets().items()):
-            rebuilt = ExperimentConfig.from_dict(config.to_dict())
-            if rebuilt.to_dict() != config.to_dict():
-                raise ValidationError(
-                    f"preset {name!r} does not survive a serialization round trip")
+            if ExperimentConfig.from_dict(config.to_dict()) != config:
+                raise ValidationError(f"preset {name!r} does not survive a serialization "
+                                      "round trip")
             print(f"OK: preset {name} ({config.kind})")
     return 0
 
@@ -282,8 +272,7 @@ def _validate_config_file(path) -> str:
             mixture = GaussianMixtureIntensity.from_list(data)
             return f"mixture ({len(mixture)} components)"
         if isinstance(data, dict) and "kind" in data:
-            config = ExperimentConfig.from_dict(data)
-            return f"experiment config ({config.kind})"
+            return f"experiment config ({ExperimentConfig.from_dict(data).kind})"
         if isinstance(data, dict) and "alpha" in data:
             ObservationModel.from_dict(data)
             return "observation model"

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ._floatfmt import BLOCK, repr_rows
-from ._util import as_finite, atomic_write, json_object
+from ._util import as_finite, as_integer, atomic_write, json_object
 from .diagrams import PersistenceDiagram
 from .errors import DegenerateObservationError, ValidationError
 from .intensity import (GaussianMixtureIntensity, canonical_terms, gaussian_density,
@@ -235,12 +235,12 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        for extent in (self.x0, self.x1, self.y0, self.y1):
-            as_finite(extent, "grid extents")
+        for key in ("x0", "x1", "y0", "y1"):
+            object.__setattr__(self, key, as_finite(getattr(self, key), "grid extents"))
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValidationError("grid extents must satisfy x1 > x0, y1 > y0")
-        if self.nx < 2 or self.ny < 2:
-            raise ValidationError("grid needs at least 2 points per axis")
+        for key in ("nx", "ny"):
+            object.__setattr__(self, key, as_integer(getattr(self, key), f"grid {key}", ge=2))
 
     @property
     def x_axis(self) -> np.ndarray:

@@ -1,18 +1,10 @@
 """Named experiment presets and the experiment runner.
 
-Two experiment kinds exist:
-
-* ``circle-posterior``: sample a noisy circle, take its H1 rips diagram as
-  the observed diagram, compute the closed-form posterior under a named
-  prior/observation pair, and write the observed diagram, the peak-scaled
-  posterior grid, and a manifest with masses and the posterior argmax.
-* ``lattice-cv``: build synthetic BCC and FCC diagram populations and run
-  the 10-fold Bayes-factor cross-validation under both a k-means-elicited
-  prior and a flat prior, writing both reports and a manifest.
-
-Presets combine four named priors with four observation "cases" plus the
-``aptlike-cv`` classification study. Reruns with the same seed write
-byte-identical files.
+Each experiment kind is one class: ``CircleExperiment`` (``circle-posterior``,
+the circle posterior case studies) and ``LatticeExperiment`` (``lattice-cv``,
+the BCC/FCC Bayes-factor study). Presets combine four named priors with four
+observation "cases" plus the ``aptlike-cv`` classification study. Reruns
+with the same seed write byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import as_finite, as_integer, derived_rng, json_object, write_json
+from ._util import as_finite, as_integer, derived_rng, json_object, key_path, write_json
 from .classify import PRIOR_SPECS, CrossValidationConfig, cross_validate
 from .diagrams import write_diagram_csv
 from .errors import UsageError, ValidationError
@@ -77,50 +69,158 @@ def case_observation_model(name: str) -> tuple[ObservationModel, float]:
     return ObservationModel(alpha, lv, clutter), noise_var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Everything needed to run one experiment deterministically."""
+    """What every experiment kind has: a name and a seed, from which all of its
+    randomness derives. Each kind's class names its ``kind`` and its
+    ``json_keys``, the required and the optional keys of its JSON form."""
 
-    name: str
-    kind: str  # "circle-posterior" | "lattice-cv"
+    name: str = "custom"
     seed: int = 7
-    # circle-posterior section
-    prior: GaussianMixtureIntensity | None = None
-    observation: ObservationModel | None = None
-    circle_n: int = 50
-    circle_noise_variance: float = 0.001
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed", ge=0))
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "kind": self.kind, "seed": self.seed}
+
+    @staticmethod
+    def from_dict(data: dict) -> "ExperimentConfig":
+        """The experiment of the JSON object ``data``, of the class its ``kind``
+        names. Each other key, and each key of a ``data`` or ``lattice``
+        section, is the class's field of the same name."""
+        kinds = {config.kind: config for config in (CircleExperiment, LatticeExperiment)}
+        with json_object(data, "experiment config", ("kind",), data):
+            if not isinstance(data["kind"], str) or data["kind"] not in kinds:
+                raise ValidationError(f"experiment kind must be {' or '.join(map(repr, kinds))}"
+                                      f", got {data['kind']!r}")
+        experiment = kinds[data["kind"]]
+        with json_object(data, "experiment config", *experiment.json_keys):
+            fields = {key: value for key, value in data.items() if key != "kind"}
+            if fields.get("observation") is not None:
+                fields["observation"] = ObservationModel.from_dict(fields["observation"],
+                                                                   "observation")
+            return experiment(**experiment.read_sections(fields))
+
+
+@dataclass(frozen=True, kw_only=True)
+class CircleExperiment(ExperimentConfig):
+    """Sample a noisy circle of ``n`` points, take its H1 rips diagram as the
+    observed diagram, and write the observed diagram, the peak-scaled
+    posterior grid under ``prior`` and ``observation``, and a manifest with
+    masses and the posterior argmax."""
+
+    kind = "circle-posterior"
+    json_keys = (("kind", "prior", "observation", "data"), ("name", "seed", "grid"))
+
+    prior: GaussianMixtureIntensity
+    observation: ObservationModel
+    n: int = 50
+    noise_variance: float = 0.001
     grid: Grid = DEFAULT_GRID
-    # lattice-cv section
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.prior is None or self.observation is None:
+            raise ValidationError("circle-posterior experiments need a prior and an "
+                                  "observation model")
+        object.__setattr__(self, "n", as_integer(self.n, "data: n", ge=4))
+        object.__setattr__(self, "noise_variance", as_finite(
+            self.noise_variance, "data: noise_variance", ge=0))
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "prior": self.prior.to_list(),
+                "observation": self.observation.to_dict(),
+                "data": {"n": self.n, "noise_variance": self.noise_variance},
+                "grid": list(astuple(self.grid))}
+
+    @staticmethod
+    def read_sections(fields: dict) -> dict:
+        fields["prior"] = GaussianMixtureIntensity.from_list(fields["prior"], "prior")
+        with json_object(fields.pop("data"), "data", (), ("n", "noise_variance")) as sample:
+            fields.update(sample)
+        if "grid" in fields:
+            if not isinstance(fields["grid"], list) or len(fields["grid"]) != 6:
+                raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
+            fields["grid"] = Grid(*fields["grid"])
+        return fields
+
+    def run(self, outdir: Path) -> dict:
+        """Write the outputs into ``outdir``; return the manifest."""
+        cloud = sample_noisy_circle(self.n, self.noise_variance, derived_rng(self.seed, 0))
+        observed = h1_diagram(cloud)
+        posterior = posterior_closed_form(self.prior, self.observation, [observed])
+        values = scaled_intensity_grid(posterior, self.grid)
+
+        most_persistent = None
+        if len(observed):
+            top = int(np.argmax(observed.persistences))
+            most_persistent = {"birth": float(observed.births[top]),
+                               "persistence": float(observed.persistences[top])}
+
+        write_point_cloud_csv(cloud, outdir / "point_cloud.csv")
+        write_diagram_csv(observed, outdir / "observed_diagram.csv")
+        write_grid_csv(outdir / "posterior_grid.csv", self.grid, values)
+
+        return {
+            "config": self.to_dict(),
+            "outputs": {"point_cloud": "point_cloud.csv", "posterior_grid": "posterior_grid.csv",
+                        "observed_diagram": "observed_diagram.csv"},
+            "n_observed_features": len(observed),
+            "most_persistent_feature": most_persistent,
+            "posterior_argmax": grid_argmax(self.grid, values, "scaled_value"),
+            "masses": mass_summary(posterior),
+        }
+
+    def summary(self, manifest: dict, outdir) -> str:
+        """What ``bayespd experiment`` prints after the run."""
+        argmax = manifest["posterior_argmax"]
+        return (f"{self.name}: posterior argmax ({argmax['x']:.4f}, {argmax['y']:.4f}), "
+                f"total mass {manifest['masses']['total']:.6g}; outputs in {outdir}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LatticeExperiment(ExperimentConfig):
+    """Sample ``n_per_class`` BCC and FCC clouds of ``cells`` unit cells per
+    axis, write their H1 diagrams, and run the ``folds``-fold Bayes-factor
+    cross-validation under the k-means-elicited and the flat prior, writing
+    both reports and a manifest. No ``observation`` means the study's own,
+    ``aptlike_observation_model()``."""
+
+    kind = "lattice-cv"
+    json_keys = (("kind",), ("name", "seed", "observation", "n_per_class", "lattice", "folds"))
+
+    observation: ObservationModel | None = None
     n_per_class: int = 200
-    lattice_cells: int = 2
+    cells: int = 2
     lattice_constant: float = 2.0
-    lattice_retention: float = 0.35
+    retention: float = 0.35
     folds: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("circle-posterior", "lattice-cv"):
-            raise ValidationError(
-                f"experiment kind must be 'circle-posterior' or 'lattice-cv', "
-                f"got {self.kind!r}")
-        as_integer(self.seed, "seed", ge=0)
-        if self.kind == "circle-posterior":
-            if self.prior is None or self.observation is None:
-                raise ValidationError("circle-posterior experiments need a prior and an "
-                                      "observation model")
-            as_integer(self.circle_n, "circle_n", ge=4)
-            as_finite(self.circle_noise_variance, "circle_noise_variance", ge=0)
-        else:
-            # the run's own specs check their fields before anything is written
-            self.lattice_spec("bcc")
-            self.cv_configs()
-            if self.n_per_class < self.folds:
-                raise ValidationError("n_per_class must be >= folds")
+        super().__post_init__()
+        with key_path("lattice"):
+            spec = LatticeSpec("bcc", self.cells, self.lattice_constant, self.retention)
+        for key in ("cells", "lattice_constant", "retention"):
+            object.__setattr__(self, key, getattr(spec, key))
+        object.__setattr__(self, "n_per_class", as_integer(self.n_per_class, "n_per_class"))
+        object.__setattr__(self, "folds", as_integer(self.folds, "folds", ge=2))
+        if self.n_per_class < self.folds:
+            raise ValidationError("n_per_class must be >= folds")
 
-    def lattice_spec(self, structure: str) -> LatticeSpec:
-        """The spec every ``structure`` cloud of the study is sampled from."""
-        return LatticeSpec(structure=structure, cells=self.lattice_cells,
-                           lattice_constant=self.lattice_constant,
-                           retention=self.lattice_retention)
+    def to_dict(self) -> dict:
+        return {**super().to_dict(),
+                "observation": self.observation.to_dict() if self.observation else None,
+                "n_per_class": self.n_per_class, "folds": self.folds,
+                "lattice": {"cells": self.cells, "lattice_constant": self.lattice_constant,
+                            "retention": self.retention}}
+
+    @staticmethod
+    def read_sections(fields: dict) -> dict:
+        with json_object(fields.pop("lattice", {}), "lattice", (),
+                         ("cells", "lattice_constant", "retention")) as lattice:
+            fields.update(lattice)
+        return fields
 
     def cv_configs(self) -> dict[str, CrossValidationConfig]:
         """The study's cross-validation under each of its priors, by name."""
@@ -130,64 +230,42 @@ class ExperimentConfig:
                                             labels=("bcc", "fcc"))
                 for name, prior in PRIOR_SPECS.items()}
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "kind": self.kind, "seed": self.seed}
-        if self.kind == "circle-posterior":
-            out.update({
-                "prior": self.prior.to_list(),
-                "observation": self.observation.to_dict(),
-                "data": {"n": self.circle_n,
-                         "noise_variance": self.circle_noise_variance},
-                "grid": list(astuple(self.grid)),
-            })
-        else:
-            out.update({
-                "observation": self.observation.to_dict()
-                if self.observation else None,
-                "n_per_class": self.n_per_class,
-                "lattice": {"cells": self.lattice_cells,
-                            "lattice_constant": self.lattice_constant,
-                            "retention": self.lattice_retention},
-                "folds": self.folds,
-            })
-        return out
+    def run(self, outdir: Path) -> dict:
+        """Write the outputs into ``outdir``; return the manifest."""
+        diagrams_dir = outdir / "diagrams"
+        diagrams_dir.mkdir(parents=True, exist_ok=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kind = data.get("kind") if isinstance(data, dict) else None
-        circle = kind == "circle-posterior"
-        required = ("kind", "prior", "observation", "data") if circle else ("kind",)
-        optional = (("name", "seed", "grid") if circle else
-                    ("name", "seed", "observation", "n_per_class", "lattice", "folds")
-                    if kind == "lattice-cv" else data)  # the constructor refuses the kind
-        with json_object(data, "experiment config", required, optional):
-            fields = dict(name=data.get("name", "custom"), kind=kind,
-                          seed=as_integer(data.get("seed", 7), "seed"))
-            if data.get("observation") is not None:
-                fields["observation"] = ObservationModel.from_dict(data["observation"],
-                                                                   "observation")
-            if circle:
-                grid = data.get("grid", list(astuple(DEFAULT_GRID)))
-                if not isinstance(grid, list) or len(grid) != 6:
-                    raise ValidationError("grid must be [x0, x1, y0, y1, nx, ny]")
-                with json_object(data["data"], "data", (), ("n", "noise_variance")) as sample:
-                    n, noise_variance = sample.get("n", 50), sample.get("noise_variance", 0.001)
-                    fields.update(circle_n=as_integer(n, "n"), circle_noise_variance=as_finite(
-                        noise_variance, "noise_variance"))
-                fields.update(
-                    prior=GaussianMixtureIntensity.from_list(data["prior"], "prior"),
-                    grid=Grid(*[as_finite(v, "grid extents") for v in grid[:4]],
-                              as_integer(grid[4], "grid nx"), as_integer(grid[5], "grid ny")))
-            elif kind == "lattice-cv":
-                with json_object(data.get("lattice", {}), "lattice", (),
-                                 ("cells", "lattice_constant", "retention")) as lattice:
-                    spec = LatticeSpec("bcc", **lattice)
-                fields.update(
-                    lattice_cells=spec.cells, lattice_constant=spec.lattice_constant,
-                    lattice_retention=spec.retention,
-                    n_per_class=as_integer(data.get("n_per_class", 200), "n_per_class"),
-                    folds=as_integer(data.get("folds", 10), "folds"))
-            return cls(**fields)
+        populations: dict[str, list] = {}
+        for class_index, structure in enumerate(("bcc", "fcc")):
+            spec = LatticeSpec(structure, self.cells, self.lattice_constant, self.retention)
+            diagrams = []
+            for i in range(self.n_per_class):
+                cloud = sample_lattice(spec, derived_rng(self.seed, class_index, i))
+                diagram = h1_diagram(cloud)
+                write_diagram_csv(diagram, diagrams_dir / f"{structure}_{i:03d}.csv")
+                diagrams.append(diagram)
+            populations[structure] = diagrams
+
+        reports = {}
+        for prior_name, cv_config in self.cv_configs().items():
+            report = cross_validate(populations["bcc"], populations["fcc"], cv_config)
+            report.write_json(outdir / f"cv_{prior_name}.json")
+            reports[prior_name] = report
+
+        return {
+            "config": self.to_dict(),
+            "outputs": {"diagrams_dir": "diagrams",
+                        "cv_reports": {name: f"cv_{name}.json" for name in reports}},
+            "results": {name: {"mean_auc": rep.auc, "fold_aucs": list(rep.fold_aucs),
+                               "bootstrap": rep.bootstrap_percentiles}
+                        for name, rep in reports.items()},
+        }
+
+    def summary(self, manifest: dict, outdir) -> str:
+        """What ``bayespd experiment`` prints after the run."""
+        lines = [f"{self.name} [{prior_name}]: mean AUC {result['mean_auc']:.4f}"
+                 for prior_name, result in sorted(manifest["results"].items())]
+        return "\n".join([*lines, f"outputs in {outdir}"])
 
 
 def aptlike_observation_model() -> ObservationModel:
@@ -203,13 +281,11 @@ def experiment_presets() -> dict[str, ExperimentConfig]:
         model, noise_var = case_observation_model(case)
         for prior_name in sorted(PRIOR_PRESETS):
             name = f"{case}-{prior_name}"
-            presets[name] = ExperimentConfig(
-                name=name, kind="circle-posterior",
-                prior=prior_preset(prior_name), observation=model,
-                circle_noise_variance=noise_var)
-    presets["aptlike-cv"] = ExperimentConfig(
-        name="aptlike-cv", kind="lattice-cv",
-        observation=aptlike_observation_model())
+            presets[name] = CircleExperiment(
+                name=name, prior=prior_preset(prior_name), observation=model,
+                noise_variance=noise_var)
+    presets["aptlike-cv"] = LatticeExperiment(
+        name="aptlike-cv", observation=aptlike_observation_model())
     return presets
 
 
@@ -229,77 +305,6 @@ def h1_diagram(cloud):
         return rips_persistence(cloud, params).restrict(1)
 
 
-def _run_circle_posterior(config: ExperimentConfig, outdir: Path) -> dict:
-    cloud = sample_noisy_circle(config.circle_n, config.circle_noise_variance,
-                                derived_rng(config.seed, 0))
-    observed = h1_diagram(cloud)
-    posterior = posterior_closed_form(config.prior, config.observation,
-                                      [observed])
-    values = scaled_intensity_grid(posterior, config.grid)
-
-    if len(observed):
-        top = int(np.argmax(observed.persistences))
-        most_persistent = {"birth": float(observed.births[top]),
-                           "persistence": float(observed.persistences[top])}
-    else:
-        most_persistent = None
-
-    write_point_cloud_csv(cloud, outdir / "point_cloud.csv")
-    write_diagram_csv(observed, outdir / "observed_diagram.csv")
-    write_grid_csv(outdir / "posterior_grid.csv", config.grid, values)
-
-    return {
-        "config": config.to_dict(),
-        "outputs": {
-            "point_cloud": "point_cloud.csv",
-            "observed_diagram": "observed_diagram.csv",
-            "posterior_grid": "posterior_grid.csv",
-        },
-        "n_observed_features": len(observed),
-        "most_persistent_feature": most_persistent,
-        "posterior_argmax": grid_argmax(config.grid, values, "scaled_value"),
-        "masses": mass_summary(posterior),
-    }
-
-
-def _run_lattice_cv(config: ExperimentConfig, outdir: Path) -> dict:
-    diagrams_dir = outdir / "diagrams"
-    diagrams_dir.mkdir(parents=True, exist_ok=True)
-
-    populations: dict[str, list] = {}
-    for class_index, structure in enumerate(("bcc", "fcc")):
-        spec = config.lattice_spec(structure)
-        diagrams = []
-        for i in range(config.n_per_class):
-            cloud = sample_lattice(spec, derived_rng(config.seed, class_index, i))
-            diagram = h1_diagram(cloud)
-            write_diagram_csv(diagram,
-                              diagrams_dir / f"{structure}_{i:03d}.csv")
-            diagrams.append(diagram)
-        populations[structure] = diagrams
-
-    reports = {}
-    for prior_name, cv_config in config.cv_configs().items():
-        report = cross_validate(populations["bcc"], populations["fcc"], cv_config)
-        report.write_json(outdir / f"cv_{prior_name}.json")
-        reports[prior_name] = report
-
-    return {
-        "config": config.to_dict(),
-        "outputs": {
-            "diagrams_dir": "diagrams",
-            "cv_reports": {name: f"cv_{name}.json" for name in reports},
-        },
-        "results": {
-            name: {
-                "mean_auc": rep.auc,
-                "fold_aucs": list(rep.fold_aucs),
-                "bootstrap": rep.bootstrap_percentiles,
-            } for name, rep in reports.items()
-        },
-    }
-
-
 def run_experiment(config: ExperimentConfig, outdir,
                    seed: int | None = None) -> dict:
     """Run one experiment into ``outdir`` and return the manifest (also
@@ -309,9 +314,6 @@ def run_experiment(config: ExperimentConfig, outdir,
         config = replace(config, seed=int(seed))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if config.kind == "circle-posterior":
-        manifest = _run_circle_posterior(config, outdir)
-    else:
-        manifest = _run_lattice_cv(config, outdir)
+    manifest = config.run(outdir)
     write_json(outdir / "manifest.json", manifest, sort_keys=True)
     return manifest

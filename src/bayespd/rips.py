@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import as_integer, read_csv_rows, write_csv
+from ._util import as_integer, key_path, read_csv_rows, write_csv
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
@@ -278,7 +278,5 @@ def read_point_cloud_csv(path, *, skip_header: bool = False) -> PointCloud:
     rows = [row for _, row in read_csv_rows(path, parse, header=list if skip_header else None)]
     if not rows:
         raise ValidationError(f"{path}: no points found")
-    try:
+    with key_path(path):
         return PointCloud(np.asarray(rows, dtype=np.float64))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

@@ -337,6 +337,21 @@ GOOD_COMPONENT = {"weight": 1.0, "mean": [1.0, 1.0], "variance": 0.5}
 GOOD_MODEL = {"alpha": 0.5, "likelihood_variance": 0.1, "clutter": []}
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps([GOOD_COMPONENT]).replace('"weight": 1.0', '"weight": ' + "9" * 5000),
+     "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["5000-digit-weight", "deep-nesting"])
+def test_config_validate_names_the_path_of_json_the_parser_refuses(tmp_path, capsys, text,
+                                                                   message):
+    # json.load refuses these with a plain ValueError or a RecursionError,
+    # not a JSONDecodeError
+    path = tmp_path / "mixture.json"
+    path.write_text(text)
+    assert main(["config-validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
 @pytest.mark.parametrize("content", [
     [dict(GOOD_COMPONENT, weight="abc")],
     [dict(GOOD_COMPONENT, mean=3)],

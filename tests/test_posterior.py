@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -274,6 +275,19 @@ def test_grid_axes_and_mesh():
         Grid(0.0, 0.0, 0.0, 1.0, 4, 4)
     with pytest.raises(ValidationError):
         Grid(0.0, 1.0, 0.0, 1.0, 1, 4)
+
+
+def test_grid_stores_floats_and_whole_point_counts():
+    grid = Grid(np.int64(0), 3, np.float32(0.5), 2, np.int64(4), 3.0)
+    assert astuple(grid) == (0.0, 3.0, 0.5, 2.0, 4, 3)
+    assert [type(v) for v in astuple(grid)] == [float] * 4 + [int] * 2
+    for nx, ny, message in ((2.5, 3, "grid nx must be an integer, got 2.5"),
+                            (3, True, "grid ny must be an integer, got True"),
+                            (1, 3, "grid nx must be >= 2, got 1"),
+                            (3, 0, "grid ny must be >= 2, got 0")):
+        with pytest.raises(ValidationError) as info:
+            Grid(0.0, 1.0, 0.0, 1.0, nx, ny)
+        assert str(info.value) == message
 
 
 def test_scaled_grid_peaks_at_one():

@@ -1,9 +1,14 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayespd import (CASE_PRESETS, PRIOR_PRESETS, ExperimentConfig,
+from bayespd import (CASE_PRESETS, PRIOR_PRESETS, CircleExperiment,
+                     ExperimentConfig, GaussianMixtureIntensity, Grid,
+                     LatticeExperiment, MixtureComponent, ObservationModel,
                      PointCloud, UsageError, ValidationError,
                      aptlike_observation_model, case_observation_model,
                      experiment_preset, experiment_presets, h1_diagram,
@@ -48,7 +53,7 @@ def test_experiment_presets_enumerate_cases_and_priors():
     assert len(presets) == 17
     assert "case1-informative" in presets and "aptlike-cv" in presets
     assert all(cfg.name == name for name, cfg in presets.items())
-    assert presets["case3-weakly-informative"].circle_noise_variance == 0.1
+    assert presets["case3-weakly-informative"].noise_variance == 0.1
     assert presets["aptlike-cv"].kind == "lattice-cv"
     with pytest.raises(UsageError, match="aptlike-cv"):
         experiment_preset("case5-informative")
@@ -56,16 +61,14 @@ def test_experiment_presets_enumerate_cases_and_priors():
 
 def test_experiment_config_validation():
     with pytest.raises(ValidationError, match="kind"):
-        ExperimentConfig(name="x", kind="bootstrap")
+        ExperimentConfig.from_dict({"name": "x", "kind": "bootstrap"})
     with pytest.raises(ValidationError, match="prior"):
-        ExperimentConfig(name="x", kind="circle-posterior")
-    with pytest.raises(ValidationError, match="circle_n"):
-        ExperimentConfig(name="x", kind="circle-posterior",
-                         prior=prior_preset("informative"),
-                         observation=case_observation_model("case1")[0],
-                         circle_n=2)
+        CircleExperiment(name="x", prior=None, observation=None)
+    with pytest.raises(ValidationError, match="^data: n must be >= 4, got 2$"):
+        CircleExperiment(name="x", prior=prior_preset("informative"),
+                         observation=case_observation_model("case1")[0], n=2)
     with pytest.raises(ValidationError, match="n_per_class"):
-        ExperimentConfig(name="x", kind="lattice-cv", n_per_class=5, folds=10)
+        LatticeExperiment(name="x", n_per_class=5, folds=10)
 
 
 def test_experiment_config_round_trips():
@@ -81,6 +84,52 @@ def test_experiment_config_round_trips():
         ExperimentConfig.from_dict({
             **experiment_preset("case1-informative").to_dict(),
             "grid": [0, 3, 0, 3]})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2}, "experiment config: data: n must be >= 4, got 2"),
+    ({"noise_variance": -1}, "experiment config: data: noise_variance must be >= 0, got -1.0"),
+], ids=["n", "noise-variance"])
+def test_circle_data_rules_name_their_key_path(data, message):
+    config = {**experiment_preset("case1-informative").to_dict(), "data": data}
+    with pytest.raises(ValidationError) as info:
+        ExperimentConfig.from_dict(config)
+    assert str(info.value) == message
+
+
+POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MIXTURES = st.lists(st.builds(MixtureComponent, POSITIVE, st.tuples(FINITE, FINITE), POSITIVE),
+                    max_size=3).map(GaussianMixtureIntensity)
+MODELS = st.builds(ObservationModel, st.floats(0.0, 1.0), POSITIVE, MIXTURES)
+EXTENTS = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True).map(sorted)
+GRIDS = st.builds(lambda xs, ys, nx, ny: Grid(*xs, *ys, nx, ny), EXTENTS, EXTENTS,
+                  st.integers(2, 500), st.integers(2, 500))
+NAMED = {"name": st.text(max_size=8), "seed": st.integers(0, 2**64)}
+CIRCLES = st.builds(CircleExperiment, **NAMED, prior=MIXTURES, observation=MODELS,
+                    n=st.integers(4, 10**6), noise_variance=st.floats(0.0, 1e6), grid=GRIDS)
+LATTICES = st.integers(2, 50).flatmap(lambda folds: st.builds(
+    LatticeExperiment, **NAMED, observation=st.none() | MODELS,
+    n_per_class=st.integers(folds, 10**4), cells=st.integers(1, 10), lattice_constant=POSITIVE,
+    retention=st.floats(0.0, 1.0, exclude_min=True), folds=st.just(folds)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(config=CIRCLES | LATTICES)
+def test_experiment_configs_are_their_json_form(config):
+    data = config.to_dict()
+    assert ExperimentConfig.from_dict(data) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(data))) == config
+    # every field is a top-level key or a key of the data or lattice section
+    sections = {**data.pop("data", {}), **data.pop("lattice", {})}
+    names = {field.name for field in fields(config)}
+    assert {**data, **sections}.keys() == names | {"kind"}
+    # a field of the other kind is refused, not kept and then dropped
+    other = experiment_preset("case1-informative" if config.kind == "lattice-cv"
+                              else "aptlike-cv")
+    for name in {field.name for field in fields(other)} - names:
+        with pytest.raises(TypeError, match=name):
+            replace(config, **{name: getattr(other, name)})
 
 
 def test_h1_diagram_is_quiet_and_restricted():
@@ -104,7 +153,7 @@ def small_circle_config(name="case1-informative", **overrides):
 
     from bayespd import Grid
     config = experiment_preset(name)
-    return replace(config, circle_n=25, grid=Grid(0.0, 3.0, 0.0, 3.0, 60, 60),
+    return replace(config, n=25, grid=Grid(0.0, 3.0, 0.0, 3.0, 60, 60),
                    **overrides)
 
 

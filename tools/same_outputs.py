@@ -5,7 +5,9 @@
 Each ``src`` directory runs the same command-line jobs in its own
 subprocess, writing under one temporary directory, and the script prints
 ``diff -r`` of the two output trees (and a file count on stderr): empty
-output and exit status 0 mean every file is byte-identical. The jobs are
+output and exit status 0 mean every file is byte-identical. What each job
+prints goes into its tree too, as ``stdout/JOB.txt`` next to the job's
+outputs, with the tree's root written ``{root}``. The jobs are
 the benchmark's own, built by ``perfbench/workloads.py`` (loaded read-only;
 nothing is written into the repository): ``experiment --preset aptlike-cv
 --seed 21``, the 16 circle presets at seeds 4 and 5, and both ``bayespd
@@ -45,12 +47,16 @@ def write_outputs(src: Path, outdir: Path) -> None:
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for name, seed in JOBS:
-        for job in workloads.build(name, seed, outdir / f"{name}-{seed}").jobs:
+        workdir = outdir / f"{name}-{seed}"
+        (workdir / "stdout").mkdir(parents=True)
+        for job in workloads.build(name, seed, workdir).jobs:
             job.outdir.mkdir(parents=True)  # as the benchmark makes it
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
                 code = main(job.argv)
             if code != 0:
                 raise SystemExit(f"{name} seed {seed}: {job.name} exited {code}")
+            (workdir / "stdout" / f"{job.name}.txt").write_text(
+                printed.getvalue().replace(str(outdir), "{root}"))
 
 
 def main(argv=None) -> int:
