@@ -10,9 +10,9 @@ verification.
 """
 
 from .classify import (BayesFactorReport, BayesFactorResult, ClassModel,
-                       CrossValidationConfig, PriorSpec, bayes_factor,
-                       bootstrap_auc, cross_validate, kmeans, kmeans_prior,
-                       log_poisson_density, roc_curve)
+                       CrossValidationConfig, FlatPrior, KMeansPrior,
+                       bayes_factor, bootstrap_auc, cross_validate, kmeans,
+                       kmeans_prior, log_poisson_density, roc_curve)
 from .diagrams import (PersistenceDiagram, read_diagram, read_diagram_csv,
                        read_diagram_json, write_diagram, write_diagram_csv,
                        write_diagram_json)
@@ -43,10 +43,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BayesFactorReport", "BayesFactorResult", "BayesPDError", "CASE_PRESETS",
     "CircleExperiment", "ClassModel", "CrossValidationConfig", "DegenerateObservationError",
-    "ExperimentConfig", "FiltrationParams", "GaussianMixtureIntensity",
-    "Grid", "LatticeExperiment", "LatticeSpec", "MixtureComponent", "NumericalError",
-    "ObservationModel", "PRIOR_PRESETS", "PersistenceDiagram", "PointCloud",
-    "PosteriorIntensity", "PriorSpec", "QuadratureError", "SamplingError",
+    "ExperimentConfig", "FiltrationParams", "FlatPrior", "GaussianMixtureIntensity",
+    "Grid", "KMeansPrior", "LatticeExperiment", "LatticeSpec", "MixtureComponent",
+    "NumericalError", "ObservationModel", "PRIOR_PRESETS", "PersistenceDiagram",
+    "PointCloud", "PosteriorIntensity", "QuadratureError", "SamplingError",
     "SimplexBudgetError", "UsageError", "ValidationError", "adaptive_quad_2d",
     "aptlike_observation_model", "bayes_factor", "bootstrap_auc",
     "case_observation_model", "cross_validate", "experiment_preset",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def _log_density_parts(intensity, diagram: PersistenceDiagram,
         mass = intensity.prior.total_mass()
     else:
         mass = intensity.total_mass()
-    logs = np.atleast_1d(intensity.log_evaluate(diagram.tilted_points))
+    logs = intensity.log_evaluate(diagram.tilted_points)
     return mass, math.fsum(logs) - math.lgamma(len(diagram) + 1)
 
 
@@ -205,10 +205,11 @@ def _kmeans_restarts(points: np.ndarray, k: int,
     return np.moveaxis(centers, 0, 2), d2.sum(axis=1)
 
 
-def _check_k(k) -> None:
+def _check_k(k) -> int:
     """The rule for a k-means cluster count: an int >= 1, not a bool or a float."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
 
 
 def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
@@ -293,49 +294,50 @@ def bootstrap_auc(fold_aucs, rng_seed=0) -> tuple[float, float, float]:
 
 # -- cross-validation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """How per-class priors are built inside cross-validation.
+@dataclass(frozen=True, kw_only=True)
+class KMeansPrior:
+    """Each class's prior, elicited per fold by clustering its training
+    features into ``k`` components of the given variance and weight."""
 
-    ``kind='kmeans'``: cluster each class's training features into ``k``
-    centers with the given component variance and weight.
-    ``kind='flat'``: one shared broad component (mean/variance/weight) for
-    both classes.
-    """
-
-    kind: str
+    kind: ClassVar[str] = "kmeans"
     k: int = 3
     variance: float = 2.0
     weight: float = 1.0
-    mean: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.kind not in ("kmeans", "flat"):
-            raise ValidationError(f"prior kind must be 'kmeans' or 'flat', got {self.kind!r}")
-        _check_k(self.k)
-        as_finite(self.variance, "variance", gt=0)
-        as_finite(self.weight, "weight", gt=0)
-        for coordinate in self.mean:
-            as_finite(coordinate, "mean")
+        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "variance", as_finite(self.variance, "variance", gt=0))
+        object.__setattr__(self, "weight", as_finite(self.weight, "weight", gt=0))
 
-    def build(self, training: Sequence[PersistenceDiagram],
-              rng_seed) -> GaussianMixtureIntensity:
-        if self.kind == "kmeans":
-            return kmeans_prior(training, self.k, self.variance, self.weight,
-                                rng_seed)
-        return GaussianMixtureIntensity(
-            [MixtureComponent(self.weight, self.mean, self.variance)])
+    def build(self, training: Sequence[PersistenceDiagram], rng_seed) -> GaussianMixtureIntensity:
+        return kmeans_prior(training, self.k, self.variance, self.weight, rng_seed)
 
 
-#: The priors of the lattice study, by kind.
-PRIOR_SPECS = {"kmeans": PriorSpec("kmeans", k=3, variance=2.0, weight=1.0),
-               "flat": PriorSpec("flat", mean=(1.0, 1.0), variance=20.0, weight=1.0)}
+@dataclass(frozen=True, kw_only=True)
+class FlatPrior:
+    """One broad component shared by both classes, under ``MixtureComponent``'s rules."""
+
+    kind: ClassVar[str] = "flat"
+    mean: tuple[float, float] = (1.0, 1.0)
+    variance: float = 20.0
+    weight: float = 1.0
+
+    def __post_init__(self):
+        for name, value in asdict(MixtureComponent(self.weight, self.mean, self.variance)).items():
+            object.__setattr__(self, name, value)
+
+    def build(self, training: Sequence[PersistenceDiagram], rng_seed) -> GaussianMixtureIntensity:
+        return GaussianMixtureIntensity([MixtureComponent(self.weight, self.mean, self.variance)])
+
+
+#: The priors of the lattice study (each class's defaults), by kind.
+PRIOR_SPECS = {prior.kind: prior for prior in (KMeansPrior(), FlatPrior())}
 
 
 @dataclass(frozen=True)
 class CrossValidationConfig:
     observation: ObservationModel
-    prior: PriorSpec
+    prior: KMeansPrior | FlatPrior
     folds: int = 10
     threshold: float = 1.0
     mode: str = "paper-literal"
@@ -344,8 +346,8 @@ class CrossValidationConfig:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        as_integer(self.folds, "folds", ge=2)
-        as_finite(self.threshold, "threshold", gt=0)
+        object.__setattr__(self, "folds", as_integer(self.folds, "folds", ge=2))
+        object.__setattr__(self, "threshold", as_finite(self.threshold, "threshold", gt=0))
         if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
             raise ValidationError(f"labels must be two distinct names, got {self.labels!r}")
 
@@ -450,6 +452,4 @@ def cross_validate(class1: Sequence[PersistenceDiagram],
         mode=config.mode, rng_seed=config.rng_seed, entries=tuple(entries),
         fold_aucs=tuple(fold_aucs), roc_points=tuple(roc_all), auc=mean_auc,
         bootstrap_summary=summary, n_undecidable=n_undecidable,
-        prior_description={  # the fields of the prior's kind: k or mean
-            key: value for key, value in asdict(config.prior).items()
-            if key != ("mean" if config.prior.kind == "kmeans" else "k")})
+        prior_description={"kind": config.prior.kind, **asdict(config.prior)})

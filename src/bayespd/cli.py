@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from ._util import derived_rng, from_json, write_json
 from .classify import (DENSITY_MODES, PRIOR_SPECS, CrossValidationConfig,
-                       PriorSpec, cross_validate)
+                       FlatPrior, KMeansPrior, cross_validate)
 from .diagrams import read_diagram, read_diagram_json, write_diagram
 from .errors import NumericalError, UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, read_mixture_json
@@ -78,7 +78,7 @@ def _coordinates(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def parse_prior_mode(text: str) -> PriorSpec:
+def parse_prior_mode(text: str) -> KMeansPrior | FlatPrior:
     """Parse a prior mini-spec over ``PRIOR_SPECS[kind]``: ``kmeans:k=3,var=2``
     or ``flat:mean=1,1,var=20`` (tuple values keep their commas)."""
     kind, _, body = text.partition(":")
@@ -98,9 +98,9 @@ def parse_prior_mode(text: str) -> PriorSpec:
         if not sep or not key.strip():
             raise UsageError(f"--prior-mode: bad parameter {token!r} in {text!r}")
         params[key.strip()] = value.strip()
-    fields = {"k": ("k", int), "mean": ("mean", _coordinates),  # PriorSpec field, parser
+    fields = {"k": ("k", int), "mean": ("mean", _coordinates),  # prior field, parser
               "var": ("variance", float), "weight": ("weight", float)}
-    allowed = set(fields) - {"mean" if kind == "kmeans" else "k"}
+    allowed = {key for key, (name, _) in fields.items() if hasattr(PRIOR_SPECS[kind], name)}
     unknown = set(params) - allowed
     if unknown:
         raise UsageError(

@@ -66,11 +66,14 @@ class FiltrationParams:
     simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
 
     def __post_init__(self):
-        if not 0 <= self.max_homology_dim <= MAX_HOMOLOGY_DIM:
+        object.__setattr__(self, "max_homology_dim",
+                           as_integer(self.max_homology_dim, "max_homology_dim", ge=0))
+        if self.max_homology_dim > MAX_HOMOLOGY_DIM:
             raise ValidationError(f"max_homology_dim must be in 0..{MAX_HOMOLOGY_DIM}")
         if not self.max_radius > 0:
             raise ValidationError("max_radius must be > 0")
-        as_integer(self.simplex_budget, "simplex_budget", ge=1)
+        object.__setattr__(self, "simplex_budget",
+                           as_integer(self.simplex_budget, "simplex_budget", ge=1))
 
 
 def rips_persistence(cloud: PointCloud,

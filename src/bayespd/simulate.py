@@ -73,7 +73,7 @@ def _sample_wedge_gaussian(rng: np.random.Generator, mean, variance,
     filled = 0
     proposals = 0
     while filled < count:
-        batch = max(64, int(1.2 * (count - filled) / max(acceptance, 1e-6)))
+        batch = max(64, int(1.2 * (count - filled) / acceptance))
         batch = min(batch, MAX_PROPOSALS - proposals)
         if batch <= 0:
             raise SamplingError(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bayespd import intensity, posterior
 from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
-                     GaussianMixtureIntensity, MixtureComponent,
-                     ObservationModel, PersistenceDiagram, PriorSpec,
+                     FlatPrior, GaussianMixtureIntensity, KMeansPrior,
+                     MixtureComponent, ObservationModel, PersistenceDiagram,
                      ValidationError, aptlike_observation_model,
                      bayes_factor, bootstrap_auc, cross_validate, kmeans,
                      kmeans_prior, log_poisson_density, roc_curve,
@@ -246,7 +246,7 @@ def test_kmeans_k1_is_mean_and_lexsort_breaks_ties():
 def test_kmeans_validation():
     with pytest.raises(ValidationError, match="k="):
         kmeans(cluster_points(), 4, 0)  # only 3 distinct locations
-    # PriorSpec's rule for k, in its words
+    # KMeansPrior's rule for k, in its words
     for k in (0, 2.5, True):
         with pytest.raises(ValidationError) as info:
             kmeans(cluster_points(), k, 0)
@@ -406,21 +406,50 @@ def test_kmeans_prior_builds_mixture():
         kmeans_prior([PersistenceDiagram.empty()], 2, 1.0)
 
 
-@pytest.mark.parametrize("fields", [
-    {"variance": math.nan}, {"weight": math.inf}, {"mean": (1.0, -math.inf)},
-], ids=["variance-nan", "weight-inf", "mean-minus-inf"])
-def test_prior_spec_rejects_non_finite_fields(fields):
+@pytest.mark.parametrize("prior, fields", [
+    (KMeansPrior, {"variance": math.nan}), (KMeansPrior, {"weight": math.inf}),
+    (FlatPrior, {"variance": math.nan}), (FlatPrior, {"weight": math.inf}),
+    (FlatPrior, {"mean": (1.0, -math.inf)}),
+], ids=["kmeans-variance-nan", "kmeans-weight-inf", "flat-variance-nan",
+        "flat-weight-inf", "flat-mean-minus-inf"])
+def test_priors_reject_non_finite_fields(prior, fields):
     with pytest.raises(ValidationError, match="must be finite"):
-        PriorSpec("kmeans", **fields)
+        prior(**fields)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "3"])
-def test_prior_spec_rejects_a_k_that_is_not_a_positive_integer(k):
+def test_kmeans_prior_rejects_a_k_that_is_not_a_positive_integer(k):
     # k=0 used to fail only inside k-means, after cross-validation started;
     # k=2.5 with a TypeError from numpy
     with pytest.raises(ValidationError, match="k must be an integer >= 1"):
-        PriorSpec("kmeans", k=k)
-    assert PriorSpec("kmeans", k=np.int64(2)).k == 2
+        KMeansPrior(k=k)
+    k = KMeansPrior(k=np.int64(2)).k
+    assert k == 2 and type(k) is int
+
+
+def test_each_prior_kind_takes_only_its_own_fields():
+    # a k-means prior has no mean, a flat prior no k: naming one is an error,
+    # not a value silently ignored or checked for nothing
+    with pytest.raises(TypeError, match="mean"):
+        KMeansPrior(mean=(5.0, 5.0))
+    with pytest.raises(TypeError, match="'k'"):
+        FlatPrior(k=0)
+    # the defaults are the lattice study's priors
+    assert PRIOR_SPECS == {"kmeans": KMeansPrior(k=3, variance=2.0, weight=1.0),
+                           "flat": FlatPrior(mean=(1.0, 1.0), variance=20.0, weight=1.0)}
+
+
+def test_flat_prior_checks_by_the_rules_of_its_component():
+    # mean first, then weight, then variance, as MixtureComponent reports them
+    with pytest.raises(ValidationError, match="mean must be a 2-vector"):
+        FlatPrior(mean=(1.0, 2.0, 3.0))
+    with pytest.raises(ValidationError, match="weight must be > 0"):
+        FlatPrior(variance=-1.0, weight=-1.0)
+    prior = FlatPrior(mean=[np.float32(0.5), np.int64(2)], variance=np.int64(5))
+    assert (prior.mean, prior.variance) == ((0.5, 2.0), 5.0)
+    assert all(type(v) is float for v in (*prior.mean, prior.variance, prior.weight))
+    assert prior.build([], 0) == GaussianMixtureIntensity(
+        [MixtureComponent(1.0, (0.5, 2.0), 5.0)])
 
 
 # -- ROC / AUC ---------------------------------------------------------------------
@@ -524,7 +553,7 @@ def test_cross_validate_separates_classes():
     class1, class2 = synthetic_classes()
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("kmeans", k=1, variance=0.5), folds=3,
+        prior=KMeansPrior(k=1, variance=0.5), folds=3,
         labels=("ring", "blob"), rng_seed=2)
     report = cross_validate(class1, class2, config)
     assert report.auc > 0.9
@@ -541,7 +570,7 @@ def test_cross_validate_is_deterministic():
     class1, class2 = synthetic_classes(n=8)
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("flat", mean=(1.0, 1.0), variance=5.0), folds=2)
+        prior=FlatPrior(mean=(1.0, 1.0), variance=5.0), folds=2)
     r1 = cross_validate(class1, class2, config)
     r2 = cross_validate(class1, class2, config)
     assert r1.to_dict() == r2.to_dict()
@@ -551,7 +580,7 @@ def test_cross_validate_identical_distributions_near_chance():
     class1, class2 = synthetic_classes(n=20, separated=False)
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("kmeans", k=1, variance=0.5), folds=5, rng_seed=6)
+        prior=KMeansPrior(k=1, variance=0.5), folds=5, rng_seed=6)
     report = cross_validate(class1, class2, config)
     assert 0.2 < report.auc < 0.8
 
@@ -563,7 +592,7 @@ def test_cross_validate_kmeans_prior_on_few_distinct_features():
     class2 = [diagram_at([(1.5, 0.5), (2.0, 1.0)])] * 4
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("kmeans", k=3, variance=0.5), folds=2)
+        prior=KMeansPrior(k=3, variance=0.5), folds=2)
     report = cross_validate(class1, class2, config)
     assert report.prior_description == {"kind": "kmeans", "k": 3,
                                         "variance": 0.5, "weight": 1.0}
@@ -585,7 +614,7 @@ def test_cross_validate_computes_each_mass_once(monkeypatch):
     monkeypatch.setattr(posterior, "wedge_gaussian_mass", counting)
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("kmeans", k=1, variance=0.5), folds=3)
+        prior=KMeansPrior(k=1, variance=0.5), folds=3)
     report = cross_validate(class1, class2, config)
     assert len(report.entries) == 12
     assert len(calls) == 4 * config.folds
@@ -594,26 +623,26 @@ def test_cross_validate_computes_each_mass_once(monkeypatch):
 def test_cross_validate_fold_validation():
     class1, class2 = synthetic_classes(n=3)
     config = CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
-                                   prior=PriorSpec("flat"), folds=4)
+                                   prior=FlatPrior(), folds=4)
     with pytest.raises(ValidationError, match="folds"):
         cross_validate(class1, class2, config)
     with pytest.raises(ValidationError, match="folds"):
         CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
-                              prior=PriorSpec("flat"), folds=1)
+                              prior=FlatPrior(), folds=1)
 
 
 def test_cross_validation_rejects_equal_labels():
     # equal labels used to merge both classes' scores, so every fold read AUC 0.5
     with pytest.raises(ValidationError, match="two distinct names"):
         CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
-                              prior=PriorSpec("flat"), labels=("a", "a"))
+                              prior=FlatPrior(), labels=("a", "a"))
 
 
 def test_cross_validate_entries_follow_the_folds():
     class1, class2 = synthetic_classes(n=7)
     config = CrossValidationConfig(
         observation=ObservationModel(1.0, 0.05),
-        prior=PriorSpec("flat", mean=(1.0, 1.0), variance=5.0), folds=3,
+        prior=FlatPrior(mean=(1.0, 1.0), variance=5.0), folds=3,
         labels=("a", "b"), rng_seed=4)
     report = cross_validate(class1, class2, config)
     # within a fold, class 1's held-out diagrams, then class 2's, each in
@@ -632,7 +661,7 @@ def test_non_finite_threshold_is_rejected():
     # log(nan) would assign every diagram to the second class
     with pytest.raises(ValidationError, match="threshold must be finite, got nan"):
         CrossValidationConfig(observation=ObservationModel(1.0, 0.05),
-                              prior=PriorSpec("flat"), threshold=math.nan)
+                              prior=FlatPrior(), threshold=math.nan)
     model = ClassModel("a", UNIT_MASS, ObservationModel(1.0, 0.05),
                        [diagram_at([(10.0, 10.0)])])
     with pytest.raises(ValidationError, match="threshold must be finite, got inf"):
@@ -643,14 +672,30 @@ def test_report_json_round_trip(tmp_path):
     class1, class2 = synthetic_classes(n=6)
     config = CrossValidationConfig(
         observation=ObservationModel(0.8, 0.05),
-        prior=PriorSpec("kmeans", k=2, variance=1.0), folds=2)
+        prior=KMeansPrior(k=2, variance=1.0), folds=2)
     report = cross_validate(class1, class2, config)
     path = tmp_path / "report.json"
     report.write_json(path)
     data = json.loads(path.read_text())
     assert data == report.to_dict()
     assert set(data["bootstrap_summary"]) == {"p5", "mean", "p95"}
-    assert data["prior"]["kind"] == "kmeans" and data["prior"]["k"] == 2
+    assert data["prior"] == {"kind": "kmeans", "k": 2, "variance": 1.0, "weight": 1.0}
     flat = CrossValidationConfig(observation=ObservationModel(0.8, 0.05),
-                                 prior=PriorSpec("flat"), folds=2)
-    assert cross_validate(class1, class2, flat).to_dict()["prior"]["mean"] == [1.0, 1.0]
+                                 prior=FlatPrior(), folds=2)
+    cross_validate(class1, class2, flat).write_json(path)
+    assert json.loads(path.read_text())["prior"] == {
+        "kind": "flat", "mean": [1.0, 1.0], "variance": 20.0, "weight": 1.0}
+
+
+def test_cross_validation_config_stores_what_it_checks():
+    # folds=3.0 used to reach range() as a float and threshold=np.float32(2)
+    # to reach the report, whose JSON could then not be written
+    class1, class2 = synthetic_classes(n=6)
+    config = CrossValidationConfig(observation=ObservationModel(0.8, 0.05),
+                                   prior=KMeansPrior(k=np.int64(2), variance=1.0),
+                                   folds=3.0, threshold=np.float32(2))
+    assert (type(config.folds), type(config.threshold)) == (int, float)
+    report = cross_validate(class1, class2, config)
+    assert len(report.fold_aucs) == 3
+    data = json.loads(json.dumps(report.to_dict()))
+    assert (data["folds"], data["threshold"], data["prior"]["k"]) == (3, 2.0, 2)

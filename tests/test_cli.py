@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bayespd import (GaussianMixtureIntensity, MixtureComponent, ObservationModel,
-                     PriorSpec, UsageError, sample_poisson_pp, write_diagram,
-                     write_mixture_json, write_point_cloud_csv)
+from bayespd import (FlatPrior, GaussianMixtureIntensity, KMeansPrior,
+                     MixtureComponent, ObservationModel, UsageError,
+                     sample_poisson_pp, write_diagram, write_mixture_json,
+                     write_point_cloud_csv)
 from bayespd._util import derived_rng
 from bayespd.classify import PRIOR_SPECS
 from bayespd.cli import main, parse_grid, parse_prior_mode
@@ -48,8 +49,8 @@ def test_parse_grid():
 
 def test_parse_prior_mode_kmeans():
     spec = parse_prior_mode("kmeans:k=5,var=0.5,weight=2")
-    assert spec == PriorSpec(kind="kmeans", k=5, variance=0.5, weight=2.0)
-    assert parse_prior_mode("kmeans") == PriorSpec(kind="kmeans")
+    assert spec == KMeansPrior(k=5, variance=0.5, weight=2.0)
+    assert parse_prior_mode("kmeans") == KMeansPrior()
     with pytest.raises(UsageError, match="unknown kmeans"):
         parse_prior_mode("kmeans:mean=1,1")
     with pytest.raises(UsageError, match="non-numeric"):
@@ -65,8 +66,11 @@ def test_parse_prior_mode_kmeans():
 def test_parse_prior_mode_flat():
     # tuple-valued mean keeps its comma
     spec = parse_prior_mode("flat:mean=1.5,0.5,var=20")
-    assert spec == PriorSpec(kind="flat", mean=(1.5, 0.5), variance=20.0)
+    assert spec == FlatPrior(mean=(1.5, 0.5), variance=20.0)
     assert parse_prior_mode("flat").mean == (1.0, 1.0)
+    with pytest.raises(UsageError, match=r"unknown flat parameter\(s\) \['k'\]; "
+                                         r"allowed: \['mean', 'var', 'weight'\]"):
+        parse_prior_mode("flat:k=2")
     with pytest.raises(UsageError, match="kmeans"):
         parse_prior_mode("spread:var=1")
     with pytest.raises(UsageError, match="two coordinates"):
@@ -77,9 +81,8 @@ def test_parse_prior_mode_flat():
 
 def test_parse_prior_mode_defaults_are_the_study_priors():
     assert parse_prior_mode("kmeans") == PRIOR_SPECS["kmeans"]
-    assert parse_prior_mode("flat") == PRIOR_SPECS["flat"]
-    assert parse_prior_mode("flat:var=5") == PriorSpec("flat", mean=(1.0, 1.0),
-                                                       variance=5.0)
+    assert parse_prior_mode("flat") == FlatPrior() == PRIOR_SPECS["flat"]
+    assert parse_prior_mode("flat:var=5") == FlatPrior(mean=(1.0, 1.0), variance=5.0)
     # the lattice study runs on the same two objects
     priors = {name: config.prior for name, config
               in experiment_presets()["aptlike-cv"].cv_configs().items()}
@@ -117,6 +120,9 @@ def test_compute_pd(square_csv, tmp_path, capsys):
     assert main(["compute-pd", "--input", square_csv, "--output", out,
                  "--budget", "3"]) == 3
     assert "error:" in capsys.readouterr().err
+    assert main(["compute-pd", "--input", square_csv, "--output", out,
+                 "--max-dim", "3"]) == 2
+    assert capsys.readouterr().err == "error: max_homology_dim must be in 0..2\n"
 
 
 # -- posterior --------------------------------------------------------------------
@@ -465,9 +471,10 @@ def test_constructors_accept_numpy_scalars():
     assert all(type(v) is float for v in (component.weight, *component.mean))
     model = ObservationModel(np.float32(0.5), np.int64(1))
     assert (model.alpha, model.likelihood_variance) == (0.5, 1.0)
-    spec = PriorSpec("kmeans", k=np.int64(2), variance=np.float32(2.0), weight=np.int64(1),
-                     mean=(np.float64(1.0), np.int32(1)))
-    assert spec.k == 2
+    kmeans = KMeansPrior(k=np.int64(2), variance=np.float32(2.0), weight=np.int64(1))
+    assert (kmeans.k, kmeans.variance, kmeans.weight) == (2, 2.0, 1.0)
+    flat = FlatPrior(mean=(np.float64(1.0), np.int32(1)), variance=np.float32(2.0))
+    assert (flat.mean, flat.variance) == ((1.0, 1.0), 2.0)
 
 
 CIRCLE_CONFIG = {"kind": "circle-posterior", "prior": [GOOD_COMPONENT],

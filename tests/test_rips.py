@@ -234,6 +234,21 @@ def test_filtration_params_validation():
         FiltrationParams(max_radius=0.0)
 
 
+def test_filtration_params_store_the_integers_they_check():
+    # max_homology_dim=1.5 used to pass the range check and fail inside
+    # rips_persistence with a TypeError; True was taken as 1, and a budget
+    # of 1e6 stayed a float
+    for dim in (1.5, True, "1"):
+        with pytest.raises(ValidationError, match="max_homology_dim must be an integer"):
+            FiltrationParams(max_homology_dim=dim)
+    params = FiltrationParams(max_homology_dim=np.float64(2.0), simplex_budget=1e6)
+    assert (params.max_homology_dim, params.simplex_budget) == (2, 1_000_000)
+    assert type(params.max_homology_dim) is int and type(params.simplex_budget) is int
+    with pytest.warns(UserWarning, match="essential"):
+        diagram = rips_persistence(PointCloud(np.eye(3)), FiltrationParams(max_homology_dim=1.0))
+    assert len(diagram) == 2  # the two H0 deaths of three equidistant points
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValidationError):
         PointCloud(np.array([[np.nan, 0.0]]))

@@ -12,7 +12,10 @@ the benchmark's own, built by ``perfbench/workloads.py`` (loaded read-only;
 nothing is written into the repository): ``experiment --preset aptlike-cv
 --seed 21``, the 16 circle presets at seeds 4 and 5, and both ``bayespd
 posterior`` jobs of ``dense-posterior`` at seeds 5 and 6, together with the
-input diagrams each tree generates for them.
+input diagrams each tree generates for them. Two ``bayespd classify`` jobs
+then cross-validate the ``aptlike-cv`` diagrams, copied into a ``bcc`` and an
+``fcc`` directory, under each ``--prior-mode`` of ``CLASSIFY_PRIORS``; their
+reports go into ``classify/``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +38,10 @@ WORKLOADS = TOOLS.parent / "perfbench" / "workloads.py"
 JOBS = (("lattice-cv", 21), ("circle-sweep", 2),
         ("dense-posterior", 5), ("dense-posterior", 6))
 
+#: report name and ``--prior-mode`` of each classify job, one per prior kind
+CLASSIFY_PRIORS = (("flat", "flat:mean=1.5,0.5,var=5"),
+                   ("kmeans", "kmeans:k=2,var=0.5,weight=2"))
+
 
 def write_outputs(src: Path, outdir: Path) -> None:
     """Run every job with the ``bayespd`` found on ``sys.path``, which must
@@ -43,20 +51,35 @@ def write_outputs(src: Path, outdir: Path) -> None:
 
     if not Path(bayespd.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"bayespd was imported from {bayespd.__file__}, not {src}")
+
+    def run(argv, printed_to: Path) -> None:
+        printed_to.parent.mkdir(parents=True, exist_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"bayespd {' '.join(argv)}: exited {code}")
+        printed_to.write_text(printed.getvalue().replace(str(outdir), "{root}"))
+
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for name, seed in JOBS:
         workdir = outdir / f"{name}-{seed}"
-        (workdir / "stdout").mkdir(parents=True)
         for job in workloads.build(name, seed, workdir).jobs:
             job.outdir.mkdir(parents=True)  # as the benchmark makes it
-            with contextlib.redirect_stdout(io.StringIO()) as printed:
-                code = main(job.argv)
-            if code != 0:
-                raise SystemExit(f"{name} seed {seed}: {job.name} exited {code}")
-            (workdir / "stdout" / f"{job.name}.txt").write_text(
-                printed.getvalue().replace(str(outdir), "{root}"))
+            run(job.argv, workdir / "stdout" / f"{job.name}.txt")
+
+    diagrams = outdir / f"lattice-cv-{JOBS[0][1]}" / "out" / "aptlike-cv" / "diagrams"
+    with tempfile.TemporaryDirectory(prefix="same-outputs-classes-") as classes:
+        for lattice in ("bcc", "fcc"):  # the directory names are the labels
+            (Path(classes) / lattice).mkdir()
+            for path in diagrams.glob(f"{lattice}_*.csv"):
+                shutil.copy(path, Path(classes) / lattice)
+        for name, prior_mode in CLASSIFY_PRIORS:
+            run(["classify", "--class1-dir", f"{classes}/bcc", "--class2-dir",
+                 f"{classes}/fcc", "--prior-mode", prior_mode, "--report",
+                 str(outdir / "classify" / f"cv_{name}.json")],
+                outdir / "classify" / "stdout" / f"{name}.txt")
 
 
 def main(argv=None) -> int:
