@@ -89,6 +89,17 @@ def as_finite(value, what: str, *, gt=None, ge=None) -> float:
     return number
 
 
+def as_float_array(values, what: str) -> np.ndarray:
+    """At least 1-D float64 array of real numbers; a bool is refused, even in a list."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        items = np.asarray(values, dtype=object).ravel().tolist()
+        types = list(map(type, items))  # numpy alone reads [True, 0.5] as floats
+        for kind in dict.fromkeys(types):  # each type once, in order of first use
+            if kind is bool or not issubclass(kind, (int, float, np.integer, np.floating)):
+                raise ValidationError(f"{what} must be numbers, got {items[types.index(kind)]!r}")
+    return np.atleast_1d(np.asarray(values, dtype=np.float64))
+
+
 class key_path:
     """Run the block on ``data``; its ValidationErrors get ``what`` as a key-path prefix."""
 

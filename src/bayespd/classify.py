@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from ._util import as_finite, as_generator, as_integer, derived_rng, write_json
+from ._util import as_finite, as_float_array, as_generator, as_integer, derived_rng, write_json
 from .diagrams import PersistenceDiagram
 from .errors import ValidationError
 from .intensity import GaussianMixtureIntensity, MixtureComponent, squared_distance
@@ -216,11 +216,14 @@ def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, the first of least
     inertia wins, its centers sorted lexicographically."""
     _check_k(k)
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    points = as_float_array(points, "points").reshape(-1, 2)
     n_distinct = len(np.unique(points, axis=0))
     if k > n_distinct:
         raise ValidationError(
             f"k={k} exceeds the {n_distinct} distinct feature location(s)")
+    n, span = len(points), math.dist(points.max(axis=0).tolist(), points.min(axis=0).tolist())
+    if not math.isfinite(n * span * span):  # bounds each squared distance, sum and inertia
+        raise ValidationError(f"points: n * span**2 must be finite, got n={n}, span={span}")
     centers, inertias = _kmeans_restarts(points, k, as_generator(rng_seed))
     best = centers[:, :, int(np.argmin(inertias))]
     return best[np.lexsort((best[:, 1], best[:, 0]))]

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import (as_finite, as_integer, json_object, read_csv_rows, read_json,
-                    write_csv, write_json)
+from ._util import (as_finite, as_float_array, as_integer, json_object, key_path,
+                    read_csv_rows, read_json, write_csv, write_json)
 from .errors import ValidationError
 
 #: Largest homology dimension handled anywhere in the package.
@@ -25,32 +25,41 @@ MAX_HOMOLOGY_DIM = 2
 CSV_HEADER = "birth,death,dim"
 
 
-def _columns(births, deaths, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float births and deaths and the dims, as 1-D arrays of one length."""
-    births = np.atleast_1d(np.asarray(births, dtype=np.float64))
-    deaths = np.atleast_1d(np.asarray(deaths, dtype=np.float64))
-    dims = np.atleast_1d(np.asarray(dims))
+def _columns(births, deaths, dims, second="deaths"):
+    """Float births, deaths (or ``second``) and dims, as 1-D arrays of one length."""
+    births, deaths, dims = map(as_float_array, (births, deaths, dims), ("births", second, "dims"))
     if births.ndim != 1 or births.shape != deaths.shape or births.shape != dims.shape:
         raise ValidationError("births, deaths and dims must be 1-D arrays of equal length")
     return births, deaths, dims
 
 
-def _first_invalid(births, deaths, dims) -> tuple[int, str] | None:
-    """(index, message) of the first feature that breaks a rule, naming the
-    first rule it breaks; None when every feature is valid."""
-    broken = (~np.isfinite(births) | (births < 0), ~np.isfinite(deaths),
-              deaths < births, (dims < 0) | (dims > MAX_HOMOLOGY_DIM))
+def _check_rows(births, deaths, dims, label="feature {}".format) -> None:
+    """Raise a ValidationError naming ``label(i)`` of the first row i that
+    breaks a rule, and the first rule it breaks."""
+    broken = (~np.isfinite(births) | (births < 0), ~np.isfinite(deaths), deaths < births,
+              dims != np.floor(dims), (dims < 0) | (dims > MAX_HOMOLOGY_DIM))
     bad = np.logical_or.reduce(broken)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    b, d = float(births[i]), float(deaths[i])
-    messages = (f"birth must be finite and >= 0, got {b}",
-                f"death must be finite, got {d} (drop infinite deaths with "
-                "from_birth_death)",
-                f"death < birth ({d} < {b})",
-                f"homology dimension must be in 0..{MAX_HOMOLOGY_DIM}, got {dims[i]:.0f}")
-    return i, next(m for m, mask in zip(messages, broken) if mask[i])
+    if bad.any():
+        i = int(np.argmax(bad))
+        b, d, k = float(births[i]), float(deaths[i]), float(dims[i])
+        messages = (f"birth must be finite and >= 0, got {b}",
+                    f"death must be finite, got {d} (drop infinite deaths with "
+                    "from_birth_death)",
+                    f"death < birth ({d} < {b})",
+                    f"homology dimension must be an integer, got {k}",
+                    f"homology dimension must be in 0..{MAX_HOMOLOGY_DIM}, got {k:.0f}")
+        message = next(m for m, mask in zip(messages, broken) if mask[i])
+        raise ValidationError(f"{label(i)}: {message}")
+
+
+def _from_birth_death(births, deaths, dims, label="feature {}".format):
+    """``PersistenceDiagram.from_birth_death``, naming a bad row i ``label(i)``."""
+    births, deaths, dims = _columns(births, deaths, dims)
+    essential = np.isposinf(deaths)  # checked as if it died at birth, then dropped
+    _check_rows(births, np.where(essential, births, deaths), dims, label)
+    keep = ~essential
+    return PersistenceDiagram(births[keep], deaths[keep], dims[keep],
+                              n_dropped_infinite=int(np.count_nonzero(essential)))
 
 
 class PersistenceDiagram:
@@ -74,20 +83,13 @@ class PersistenceDiagram:
                  "_tilted")
 
     def __init__(self, births, deaths, dims, *, n_dropped_infinite: int = 0):
-        births, deaths, dims_arr = _columns(births, deaths, dims)
-        if dims_arr.size and not np.issubdtype(dims_arr.dtype, np.integer):
-            if not np.all(dims_arr == np.floor(dims_arr)):
-                raise ValidationError("homology dimensions must be integers")
-        invalid = _first_invalid(births, deaths, dims_arr)
-        if invalid:
-            raise ValidationError("feature {}: {}".format(*invalid))
-        dims_arr = dims_arr.astype(np.int64)
-
+        births, deaths, dims = _columns(births, deaths, dims)
+        _check_rows(births, deaths, dims)
         self.births = births.copy()
         self.deaths = deaths.copy()
         self.persistences = deaths - births
-        self.dims = dims_arr
-        self.n_dropped_infinite = int(n_dropped_infinite)
+        self.dims = dims.astype(np.int64)
+        self.n_dropped_infinite = as_integer(n_dropped_infinite, "n_dropped_infinite", ge=0)
         self._tilted = None
         for arr in (self.births, self.deaths, self.persistences, self.dims):
             arr.flags.writeable = False
@@ -98,13 +100,11 @@ class PersistenceDiagram:
     def from_birth_death(cls, births, deaths, dims) -> "PersistenceDiagram":
         """Build a diagram from birth-death triples (the on-disk convention).
 
-        Features with infinite death (essential classes) are dropped; the
-        count is kept in ``n_dropped_infinite``.
+        Every row is checked, one with an infinite death (an essential class)
+        as if it died at birth; those rows are then dropped and counted in
+        ``n_dropped_infinite``. An error names a row by its input position.
         """
-        births, deaths, dims = _columns(births, deaths, dims)
-        keep = ~np.isposinf(deaths)
-        return cls(births[keep], deaths[keep], dims[keep],
-                   n_dropped_infinite=int(np.count_nonzero(~keep)))
+        return _from_birth_death(births, deaths, dims)
 
     @classmethod
     def from_tilted(cls, births, persistences, dims) -> "PersistenceDiagram":
@@ -114,7 +114,7 @@ class PersistenceDiagram:
         re-derived from it, so coordinates may shift by one ulp relative to
         the inputs but all views of the resulting diagram are consistent.
         """
-        births, persistences, dims = _columns(births, persistences, dims)
+        births, persistences, dims = _columns(births, persistences, dims, "persistences")
         bad = ~np.isfinite(persistences) | (persistences < 0)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -139,7 +139,7 @@ class PersistenceDiagram:
 
     def restrict(self, homology_dim: int) -> "PersistenceDiagram":
         """The sub-diagram of features in a single homology dimension."""
-        keep = self.dims == int(homology_dim)
+        keep = self.dims == as_integer(homology_dim, "homology dimension")
         return PersistenceDiagram(self.births[keep], self.deaths[keep],
                                   self.dims[keep])
 
@@ -199,22 +199,12 @@ def read_diagram_csv(path) -> PersistenceDiagram:
     def parse(fields):
         if len(fields) != 3:
             raise ValidationError(f"expected 3 fields, got {len(fields)}")
-        return float(fields[0]), float(fields[1]), float(int(fields[2]))
+        return [float(f) for f in fields]
 
     lines = read_csv_rows(path, parse, header)
-    return _from_rows(path, [row for _, row in lines], [f"line {n}" for n, _ in lines])
-
-
-def _from_rows(path, rows: list[tuple[float, float, float]], where) -> PersistenceDiagram:
-    """The diagram of parsed (birth, death, dim) rows, checked by the
-    constructor's rules; an error names the path and ``where[row]``.
-    Infinite deaths are dropped; their count stays on the diagram."""
-    births, deaths, dims = np.array(rows, dtype=np.float64).reshape(-1, 3).T
-    # an essential class is checked as if it died at birth, then dropped
-    invalid = _first_invalid(births, np.where(np.isposinf(deaths), births, deaths), dims)
-    if invalid:
-        raise ValidationError(f"{path}: {where[invalid[0]]}: {invalid[1]}")
-    return PersistenceDiagram.from_birth_death(births, deaths, dims)
+    with key_path(path):
+        return _from_birth_death(*np.array([row for _, row in lines]).reshape(-1, 3).T,
+                                 label=lambda i: f"line {lines[i][0]}")
 
 
 def write_diagram_json(diagram: PersistenceDiagram, path) -> None:
@@ -230,12 +220,14 @@ def read_diagram_json(path) -> PersistenceDiagram:
     rows = []
     for i, rec in enumerate(records):
         with json_object(rec, f"{path}: feature {i}", ("birth", "death", "dim")):
-            # float coordinates, NaN and +-inf included, meet the feature rules
+            # a float, NaN and +-inf included, is left to the feature rules
             birth, death = (rec[key] if isinstance(rec[key], float) else as_finite(rec[key], key)
                             for key in ("birth", "death"))
-            dim = as_integer(rec["dim"], "homology dimension")
-            rows.append((birth, death, as_finite(dim, "homology dimension")))  # > binary64: refused
-    return _from_rows(path, rows, [f"feature {i}" for i in range(len(rows))])
+            dim = rec["dim"] if isinstance(rec["dim"], float) else as_finite(
+                as_integer(rec["dim"], "homology dimension"), "homology dimension")
+            rows.append((birth, death, dim))
+    with key_path(path):
+        return _from_birth_death(*np.array(rows).reshape(-1, 3).T)
 
 
 def _is_json(path) -> bool:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import as_integer, key_path, read_csv_rows, write_csv
+from ._util import as_finite, as_float_array, as_integer, key_path, read_csv_rows, write_csv
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
@@ -40,7 +40,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
+        pts = as_float_array(self.points, "points").copy()
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValidationError(
                 f"points must form an (n, d) array with d >= 1, got shape {pts.shape}")
@@ -70,8 +70,8 @@ class FiltrationParams:
                            as_integer(self.max_homology_dim, "max_homology_dim", ge=0))
         if self.max_homology_dim > MAX_HOMOLOGY_DIM:
             raise ValidationError(f"max_homology_dim must be in 0..{MAX_HOMOLOGY_DIM}")
-        if not self.max_radius > 0:
-            raise ValidationError("max_radius must be > 0")
+        if self.max_radius != np.inf:  # the one radius that need not be finite
+            object.__setattr__(self, "max_radius", as_finite(self.max_radius, "max_radius", gt=0))
         object.__setattr__(self, "simplex_budget",
                            as_integer(self.simplex_budget, "simplex_budget", ge=1))
 

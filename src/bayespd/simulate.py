@@ -180,12 +180,11 @@ def lattice_sites(structure: str, cells: int,
     Sites are picked on the doubled integer grid, where a corner has no odd
     coordinate, a face center two and a body center three, then scaled.
     """
-    if structure not in ("bcc", "fcc"):
-        raise ValidationError(f"structure must be 'bcc' or 'fcc', got {structure!r}")
-    doubled = np.indices((2 * int(cells) + 1,) * 3).reshape(3, -1).T
+    spec = LatticeSpec(structure, cells, lattice_constant)  # checks all three
+    doubled = np.indices((2 * spec.cells + 1,) * 3).reshape(3, -1).T
     odd = np.count_nonzero(doubled % 2, axis=1)
-    keep = (odd == 0) | (odd == (3 if structure == "bcc" else 2))
-    return doubled[keep] * (0.5 * lattice_constant)
+    keep = (odd == 0) | (odd == (3 if spec.structure == "bcc" else 2))
+    return doubled[keep] * (0.5 * spec.lattice_constant)
 
 
 def sample_lattice(spec: LatticeSpec, rng_seed) -> PointCloud:

@@ -380,6 +380,22 @@ def test_kmeans_negative_zero_cluster_matches_oracle_bitwise():
     assert centers[0, 0] == 0.0 and not np.signbit(centers[0, 0])
 
 
+def test_kmeans_refuses_points_it_cannot_cluster():
+    # 400 points spread over [0, 1e153]^2 used to end in an OverflowError of
+    # math.fsum, and a NaN point in numpy's "Probabilities contain NaN"
+    far = np.random.default_rng(0).uniform(0.0, 1e153, (400, 2))
+    for points in (far, np.vstack([far[:3], [[np.nan, 0.0]]]), [[0.0, 1.0], [np.inf, 1.0]]):
+        with pytest.raises(ValidationError, match=r"^points: n \* span\*\*2 must be finite"):
+            kmeans(points, 2, 0)
+    with pytest.raises(ValidationError, match="^points must be numbers, got True$"):
+        kmeans([[True, 1.0], [0.5, 0.5]], 1, 0)
+    # n * span**2 = 1e308, below the largest float: every sum stays finite
+    near = far[:4] * (5e153 / math.dist(far[:4].max(axis=0), far[:4].min(axis=0)))
+    centers = kmeans(near, 2, 0)
+    assert np.all(np.isfinite(centers))
+    np.testing.assert_array_equal(centers, oracle_kmeans(near, 2, 0))
+
+
 def test_kmeans_peak_memory():
     # the Lloyd work arrays are (restarts, n) and allocated once
     points = np.random.default_rng(3).uniform(0.0, 5.0, (5000, 2))

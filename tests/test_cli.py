@@ -237,6 +237,18 @@ def test_classify_command(tmp_path, capsys):
                  "--report", str(report_path)]) == 2
     assert "not a directory" in capsys.readouterr().err
 
+    # a feature k-means cannot cluster is refused in one line, exit 2; it
+    # used to end in numpy's "Probabilities contain NaN" traceback
+    far = tmp_path / "far"
+    diagram_population(far, (0.5, 1.5), 0, 6)
+    (far / "sample_00.csv").write_text("birth,death,dim\n0.5,1e200,1\n")
+    assert main(["classify", "--class1-dir", str(far), "--class2-dir", str(tmp_path / "blobs"),
+                 "--folds", "2", "--prior-mode", "kmeans:k=2", "--report",
+                 str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: points: n * span**2 must be finite, got n=")
+    assert err.count("\n") == 1
+
     # the mode is parsed before the directories are read
     assert main(["classify", "--class1-dir", str(tmp_path / "missing"),
                  "--class2-dir", str(tmp_path / "blobs"), "--prior-mode",

@@ -191,7 +191,7 @@ def test_csv_reader_reports_line_numbers(tmp_path):
     ("", "line 1: expected header 'birth,death,dim'"),
     ("\nbirth,death,dim\n", "line 1: expected header 'birth,death,dim'"),
     (" birth , death , dim \n\n0,1\n", "line 3: expected 3 fields, got 2"),
-    ("birth,death,dim\n0,1,x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("birth,death,dim\n0,1,x\n", "line 2: could not convert string to float: 'x'"),
 ], ids=["empty", "blank-first-line", "field-count", "dim"])
 def test_csv_reader_error_messages(tmp_path, text, message):
     path = tmp_path / "bad.csv"

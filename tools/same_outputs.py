@@ -6,16 +6,19 @@ Each ``src`` directory runs the same command-line jobs in its own
 subprocess, writing under one temporary directory, and the script prints
 ``diff -r`` of the two output trees (and a file count on stderr): empty
 output and exit status 0 mean every file is byte-identical. What each job
-prints goes into its tree too, as ``stdout/JOB.txt`` next to the job's
-outputs, with the tree's root written ``{root}``. The jobs are
-the benchmark's own, built by ``perfbench/workloads.py`` (loaded read-only;
-nothing is written into the repository): ``experiment --preset aptlike-cv
+prints, warnings included, goes into its tree too, as ``stdout/JOB.txt``
+next to the job's outputs, with the tree's root written ``{root}``. The
+jobs are the benchmark's own, built by ``perfbench/workloads.py`` (loaded
+read-only; nothing is written into the repository): ``experiment --preset aptlike-cv
 --seed 21``, the 16 circle presets at seeds 4 and 5, and both ``bayespd
 posterior`` jobs of ``dense-posterior`` at seeds 5 and 6, together with the
 input diagrams each tree generates for them. Two ``bayespd classify`` jobs
 then cross-validate the ``aptlike-cv`` diagrams, copied into a ``bcc`` and an
 ``fcc`` directory, under each ``--prior-mode`` of ``CLASSIFY_PRIORS``; their
-reports go into ``classify/``.
+reports go into ``classify/``. Last come the jobs of ``CLI_JOBS`` under
+``cli/``: ``simulate circle`` and ``compute-pd`` on its cloud (a CSV and,
+truncated at a radius, a JSON diagram), and ``simulate diagram`` with a
+clutter model and ``--latent-out``, in both diagram formats.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -43,6 +47,26 @@ CLASSIFY_PRIORS = (("flat", "flat:mean=1.5,0.5,var=5"),
                    ("kmeans", "kmeans:k=2,var=0.5,weight=2"))
 
 
+#: observation model of the ``simulate diagram`` jobs: thinning, marks, clutter
+CLUTTER_MODEL = {"alpha": 0.8, "likelihood_variance": 0.02,
+                 "clutter": [{"weight": 3.0, "mean": [0.5, 0.1], "variance": 0.1}]}
+
+#: command lines run under ``cli/``, ``{cli}`` standing for that directory
+CLI_JOBS = (
+    ("circle", ["simulate", "circle", "--n", "60", "--noise-var", "0.02", "--seed", "3",
+                "--out", "{cli}/circle.csv"]),
+    ("rips-csv", ["compute-pd", "--input", "{cli}/circle.csv", "--output", "{cli}/rips.csv"]),
+    ("rips-json", ["compute-pd", "--input", "{cli}/circle.csv", "--output", "{cli}/rips.json",
+                   "--max-dim", "2", "--max-radius", "0.6"]),
+    ("diagram-csv", ["simulate", "diagram", "--prior", "bimodal-uninformative", "--model",
+                     "{cli}/model.json", "--seed", "8", "--out", "{cli}/observed.csv",
+                     "--latent-out", "{cli}/latent.json"]),
+    ("diagram-json", ["simulate", "diagram", "--prior", "informative", "--model",
+                      "{cli}/model.json", "--dim", "0", "--seed", "9", "--out",
+                      "{cli}/observed.json", "--latent-out", "{cli}/latent.csv"]),
+)
+
+
 def write_outputs(src: Path, outdir: Path) -> None:
     """Run every job with the ``bayespd`` found on ``sys.path``, which must
     be the one under ``src``."""
@@ -54,7 +78,8 @@ def write_outputs(src: Path, outdir: Path) -> None:
 
     def run(argv, printed_to: Path) -> None:
         printed_to.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
+        with contextlib.redirect_stdout(io.StringIO()) as printed, \
+                contextlib.redirect_stderr(printed):
             code = main(argv)
         if code != 0:
             raise SystemExit(f"bayespd {' '.join(argv)}: exited {code}")
@@ -80,6 +105,12 @@ def write_outputs(src: Path, outdir: Path) -> None:
                  f"{classes}/fcc", "--prior-mode", prior_mode, "--report",
                  str(outdir / "classify" / f"cv_{name}.json")],
                 outdir / "classify" / "stdout" / f"{name}.txt")
+
+    cli = outdir / "cli"
+    cli.mkdir()
+    (cli / "model.json").write_text(json.dumps(CLUTTER_MODEL))
+    for name, argv in CLI_JOBS:
+        run([arg.format(cli=cli) for arg in argv], cli / "stdout" / f"{name}.txt")
 
 
 def main(argv=None) -> int:
