@@ -95,6 +95,9 @@ def as_float_array(values, what: str) -> np.ndarray:
         items = np.asarray(values, dtype=object).ravel().tolist()
         types = list(map(type, items))  # numpy alone reads [True, 0.5] as floats
         for kind in dict.fromkeys(types):  # each type once, in order of first use
+            if issubclass(kind, (list, tuple, np.ndarray)):  # how numpy holds ragged rows
+                raise ValidationError(
+                    f"{what} must be a rectangular array, got rows of different lengths")
             if kind is bool or not issubclass(kind, (int, float, np.integer, np.floating)):
                 raise ValidationError(f"{what} must be numbers, got {items[types.index(kind)]!r}")
     return np.atleast_1d(np.asarray(values, dtype=np.float64))

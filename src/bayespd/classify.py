@@ -212,6 +212,10 @@ def _check_k(k) -> int:
     return int(k)
 
 
+class _TooFewLocations(ValidationError):
+    """More clusters asked of ``kmeans`` than there are distinct points."""
+
+
 def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     """Deterministic k-means: ``KMEANS_RESTARTS`` restarts, the first of least
     inertia wins, its centers sorted lexicographically."""
@@ -219,8 +223,7 @@ def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     points = as_float_array(points, "points").reshape(-1, 2)
     n_distinct = len(np.unique(points, axis=0))
     if k > n_distinct:
-        raise ValidationError(
-            f"k={k} exceeds the {n_distinct} distinct feature location(s)")
+        raise _TooFewLocations(f"k={k} exceeds the {n_distinct} distinct feature location(s)")
     n, span = len(points), math.dist(points.max(axis=0).tolist(), points.min(axis=0).tolist())
     if not math.isfinite(n * span * span):  # bounds each squared distance, sum and inertia
         raise ValidationError(f"points: n * span**2 must be finite, got n={n}, span={span}")
@@ -242,10 +245,10 @@ def kmeans_prior(training: Sequence[PersistenceDiagram], k: int,
     if not pooled:
         raise ValidationError("no features in the training diagrams")
     pooled = np.concatenate(pooled)
-    try:  # sorts the points once unless there are fewer than k locations
+    try:
         centers = kmeans(pooled, k, rng_seed)
-    except ValidationError:
-        centers = kmeans(pooled, min(k, len(np.unique(pooled, axis=0))), rng_seed)
+    except _TooFewLocations:  # sorts the points again, then clusters one per location
+        centers = kmeans(pooled, len(np.unique(pooled, axis=0)), rng_seed)
     return GaussianMixtureIntensity(
         [MixtureComponent(weight, tuple(c), variance) for c in centers])
 

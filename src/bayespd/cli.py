@@ -16,6 +16,7 @@ import math
 import sys
 import warnings
 from dataclasses import astuple, replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -285,7 +286,9 @@ def _validate_config_file(path) -> str:
 
 # -- parser --------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bayespd`` parser, built on first use and kept for the process."""
     parser = _Parser(prog="bayespd",
                      description="Bayesian inference over persistence "
                                  "diagrams as Poisson point processes.")

@@ -205,7 +205,7 @@ def posterior_closed_form(prior: GaussianMixtureIntensity,
     w = prior.weights * marginal
     wq = w * wedge_gaussian_mass(post_mean, post_var)
     denom = model.clutter.evaluate(points) + alpha * np.array(
-        [math.fsum(row) for row in wq])
+        [math.fsum(row) for row in wq.tolist()])
     bad = denom <= 0.0
     if bad.any():
         first = int(np.argmax(bad))

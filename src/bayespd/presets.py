@@ -275,22 +275,23 @@ def aptlike_observation_model() -> ObservationModel:
     return ObservationModel(1.0, 0.1, clutter)
 
 
+#: the name of every experiment preset: each case under each prior, then the lattice study
+_EXPERIMENT_NAMES = (*(f"{case}-{prior}" for case in sorted(CASE_PRESETS)
+                        for prior in sorted(PRIOR_PRESETS)), "aptlike-cv")
+
+
 def experiment_presets() -> dict[str, ExperimentConfig]:
-    presets: dict[str, ExperimentConfig] = {}
-    for case in sorted(CASE_PRESETS):
-        model, noise_var = case_observation_model(case)
-        for prior_name in sorted(PRIOR_PRESETS):
-            name = f"{case}-{prior_name}"
-            presets[name] = CircleExperiment(
-                name=name, prior=prior_preset(prior_name), observation=model,
-                noise_variance=noise_var)
-    presets["aptlike-cv"] = LatticeExperiment(
-        name="aptlike-cv", observation=aptlike_observation_model())
-    return presets
+    return {name: experiment_preset(name) for name in _EXPERIMENT_NAMES}
 
 
 def experiment_preset(name: str) -> ExperimentConfig:
-    return _lookup("experiment", experiment_presets(), name)
+    _lookup("experiment", dict.fromkeys(_EXPERIMENT_NAMES), name)  # lists them all if unknown
+    if name == "aptlike-cv":
+        return LatticeExperiment(name=name, observation=aptlike_observation_model())
+    case, _, prior_name = name.partition("-")
+    model, noise_var = case_observation_model(case)
+    return CircleExperiment(name=name, prior=prior_preset(prior_name), observation=model,
+                            noise_variance=noise_var)
 
 
 # -- runner -------------------------------------------------------------------

@@ -7,6 +7,14 @@ over Z/2: H0 by union-find over the edges in filtration order, each higher
 dimension by reducing coboundary columns with clearing and apparent pairs
 (Bauer 2021, "Ripser"; de Silva, Morozov & Vejdemo-Johansson 2011).
 
+Simplices are built up to dimension ``max_homology_dim`` only; the layer
+above stays implicit. A face's cofaces are its (face, vertex) cells, walked
+in blocks, each named by an integer key (the dense rank of its diameter
+among the edge lengths, then its vertices as base-n digits) that sorts in
+filtration order. One argmin per face over those cells finds its first
+coface, and so its apparent pair; only the other faces' columns are cut
+from their rows and reduced.
+
 The complex stops at the enclosing radius min_i max_j d(i, j) if that is
 below ``max_radius``: there it is a cone on one vertex, so no class dies
 later, and the cut skips most simplices of a full filtration (Bauer 2021).
@@ -19,8 +27,10 @@ the returned diagram.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -80,19 +90,22 @@ def rips_persistence(cloud: PointCloud,
                      params: FiltrationParams = FiltrationParams()) -> PersistenceDiagram:
     """Persistence diagram of the Rips filtration of ``cloud``.
 
-    Simplices up to dimension ``max_homology_dim + 1`` are built (only those
-    with diameter <= max_radius, or the enclosing radius if that is smaller).
-    H0 features are born at 0; the essential class per connected component
-    is dropped and counted. Features come in descending death dimension,
-    then in the filtration order of their death.
+    Simplices up to dimension ``max_homology_dim`` are built (only those
+    with diameter <= max_radius, or the enclosing radius if that is smaller);
+    those one dimension up count against the budget but are never stored.
+    H0 features are born at 0; the essential class per connected
+    component is dropped and counted. Features come in descending death
+    dimension, then in the filtration order of their death.
     """
     if cloud.n_points == 0:
         raise ValidationError("cannot build a filtration on an empty cloud")
 
+    top = params.max_homology_dim
     enclosing = float(_distance_matrix(cloud.points).max(axis=1).min())
     cut = 0 < enclosing < params.max_radius  # not for coincident points
-    simplices, values = _build_filtration(
-        cloud, replace(params, max_radius=enclosing) if cut else params)
+    simplices, values = _build_filtration(cloud, replace(
+        params, max_homology_dim=max(top - 1, 0),
+        max_radius=enclosing if cut else params.max_radius))
     starts = [*(len(simplices) - np.count_nonzero(simplices >= 0, axis=0)),
               len(simplices)]
     layers = []  # per dimension: lexicographic rows, filtration order, sorted values
@@ -100,22 +113,33 @@ def rips_persistence(cloud: PointCloud,
         order = np.argsort(values[a:b], kind="stable")
         layers.append((simplices[a:b, :d + 1], order, values[a:b][order]))
 
-    n, n_essential, cleared, found = cloud.n_points, 0, [], []
-    for d in range(params.max_homology_dim + 1):
-        (faces, face_order, face_values), (cofaces, coface_order,
-                                           coface_values) = layers[d:d + 2]
+    n, (edges, edge_order, edge_values) = cloud.n_points, layers[1]
+    ticks = np.unique(edge_values)  # every diameter above dimension 0; its index is its rank
+    rank_of = np.full((n, n), len(ticks), dtype=np.min_scalar_type(len(ticks)))  # no edge
+    rank_of[edges[:, 0], edges[:, 1]] = rank_of[edges[:, 1], edges[:, 0]] = np.searchsorted(
+        ticks, values[starts[1]:starts[2]])
+    count, step = len(simplices), max(1, _BLOCK_CELLS // n)
+    if top and count + math.comb(n, top + 2) > params.simplex_budget:  # it might not fit:
+        for lo in range(0, len(layers[top][0]), step):  # count the top layer, block by block
+            count += len(_cofaces(layers[top][0][lo:lo + step], rank_of < len(ticks), count,
+                                  params.simplex_budget))
+    edges = edges[edge_order]  # in filtration order
+    n_essential, cleared, found = 0, [], []
+    for d in range(top + 1):
+        faces, order, face_values = layers[d]
         if d == 0:
-            born, died = _union_find(n, cofaces[coface_order])
-        else:  # vertex tuples as integers that increase lexicographically
-            shape = (n,) * (d + 1)
-            queries = [np.ravel_multi_index(np.delete(cofaces, m, axis=1).T, shape)
-                       for m in range(d + 2)]
-            facets = np.argsort(face_order)[np.searchsorted(
-                np.ravel_multi_index(faces.T, shape), queries)]
-            born, died = _coboundary_pairs(facets[:, coface_order].T, len(faces),
-                                           cleared)
+            born, died = _union_find(n, edges)
+            deaths = edge_values[died]
+        else:
+            ranks = np.searchsorted(ticks, face_values).astype(rank_of.dtype)
+            if d > 1:  # the keys of the cofaces that killed a class, as face ranks
+                weights = _key_weights(n, len(ticks), d + 1)
+                cleared = np.searchsorted(ranks * weights[:1] + faces[order] @ weights[1:],
+                                          cleared)
+            born, died = _coboundary_pairs(faces[order], ranks, rank_of, cleared)
+            deaths = ticks[(died // n ** (d + 2)).astype(np.intp)]
         n_essential += len(faces) - len(cleared) - len(born)
-        found.append((face_values[born], coface_values[died], np.full(len(born), d)))
+        found.append((face_values[born], deaths, np.full(len(born), d)))
         cleared = died
 
     if n_essential:
@@ -217,48 +241,78 @@ def _union_find(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(born, dtype=np.int64), np.array(died, dtype=np.int64)
 
 
-def _coboundary_pairs(facets: np.ndarray, n_faces: int, cleared):
-    """Persistence pairs (face ranks, coface ranks) of one dimension, ordered
-    by coface rank; ``facets[t]`` holds the face ranks of coface t's facets.
+def _key_weights(n: int, n_ranks: int, width: int) -> np.ndarray:
+    """Weights of the diameter rank and the sorted vertices in the key of a
+    simplex of ``width`` vertices. A key is below n_ranks * n**width: int64
+    up to 2**63 (with n_ranks <= n**2 / 2, every cloud of up to 7,000 points
+    at dimension 2), exact Python ints past it, so keys never overflow."""
+    dtype = np.int64 if n_ranks * n ** width <= 2 ** 63 else object
+    return np.array([n ** k for k in range(width, -1, -1)], dtype=dtype)
 
-    Columns are face coboundaries, reduced from the last face to the first;
-    a pivot is a column's first coface. ``cleared`` faces killed a class one
-    dimension down, so their columns are zero. A face whose first coface has
-    it as its last facet is an apparent pair: its column is built only when
-    another column's pivot lands on it. A column is a heap of coface ranks
-    in which equal pairs cancel."""
-    n_cofaces = len(facets)
-    incidences = np.sort(facets * n_cofaces + np.arange(n_cofaces)[:, None], axis=None)
-    coboundary = incidences % n_cofaces  # each face's cofaces, ascending
-    ptr = np.searchsorted(incidences, np.arange(n_faces + 1) * n_cofaces)
-    candidates = np.flatnonzero(ptr[1:] > ptr[:-1])
-    first = coboundary[ptr[candidates]]
-    apparent = facets.max(axis=1)[first] == candidates
-    owner = dict(zip(first[apparent].tolist(), candidates[apparent].tolist()))
-    ptr = ptr.tolist()
 
-    def column(face: int) -> list[int]:
-        return coboundary[ptr[face]:ptr[face + 1]].tolist()
+def _coboundary_pairs(faces, ranks, rank_of, cleared):
+    """Persistence pairs (face ranks, coface keys) of one dimension d >= 1,
+    ordered by coface key, of ``faces`` in filtration order with diameter
+    ranks ``ranks``; ``rank_of[u, v]`` is the rank of edge uv, or absent.
 
-    todo = np.ones(n_faces, dtype=bool)
-    todo[cleared] = todo[candidates[apparent]] = False
+    Columns are coboundaries, reduced from the last face to the first; a
+    pivot is a column's first coface, found by one argmin over the added
+    vertex w (for one face, the order of w is the lexicographic order). An
+    apparent pair has equal diameters, and no facet after the face (one
+    without a vertex below w) with that diameter too; its column is cut only
+    when a pivot lands on it. ``cleared`` faces killed a class one dimension
+    down, so their columns are zero. A column is a heap of coface keys in
+    which equal pairs cancel."""
+    n, width, absent = len(rank_of), faces.shape[1], int(rank_of[0, 0])
+    first, first_rank = np.empty(len(faces), dtype=np.intp), np.empty_like(ranks)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(faces), step):
+        cell = reduce(np.maximum, rank_of[faces[lo:lo + step].T], ranks[lo:lo + step, None])
+        first[lo:lo + step], first_rank[lo:lo + step] = cell.argmin(axis=1), cell.min(axis=1)
+    coface = [*faces.T, first]
+    apparent = first_rank == ranks
+    for i in range(width):
+        facet = [rank_of[coface[a], coface[b]]
+                 for a, b in combinations(range(width + 1), 2) if i not in (a, b)]
+        apparent &= (faces[:, i] > first) | (reduce(np.maximum, facet) < ranks)
+    # key of face + w: rank * weights[0] + heads[face, p] + w * weights[p + 1], p = #(face < w)
+    weights = _key_weights(n, absent, width + 1)
+    below, place = np.arange(width)[:, None], np.arange(width + 1)
+    heads = faces @ weights[below + 1 + (below >= place)]
+    rank_weight, digit = weights[:1], weights[1:]  # arrays, so ranks promote to their dtype
+    pairs = np.flatnonzero(apparent)
+    p = (faces[pairs] < first[pairs, None]).sum(1)
+    owner = dict(zip((ranks[pairs] * rank_weight + heads[pairs, p]
+                      + first[pairs] * digit[p]).tolist(), pairs.tolist()))
+    vertices = np.arange(n)
+
+    @cache
+    def column(face: int) -> list:  # sorted, so the pivot comes first
+        cell = reduce(np.maximum, rank_of[faces[face]], ranks[face])
+        p = faces[face].searchsorted(vertices)
+        keys = cell * rank_weight + heads[face][p] + vertices * digit[p]
+        return np.sort(keys[cell < absent]).tolist()
+
+    todo = first_rank < absent
+    todo[cleared] = todo[apparent] = False
     reduced = {}
     for face in np.flatnonzero(todo)[::-1].tolist():
-        heap = column(face)
+        heap = list(column(face))
         while heap:
-            if len(heap) > 1 and heap[0] == min(heap[1:3]):
+            pivot = heapq.heappop(heap)
+            if heap and heap[0] == pivot:  # a pair cancels
                 heapq.heappop(heap)
-                heapq.heappop(heap)
-            elif heap[0] in owner:
-                other = owner[heap[0]]
-                for coface in reduced.get(other) or column(other):
-                    heapq.heappush(heap, coface)
+            elif pivot in owner:  # add the owner's column, whose first key cancels the pivot
+                other = owner[pivot]
+                for key in (reduced.get(other) or column(other))[1:]:
+                    heapq.heappush(heap, key)
             else:
-                owner[heap[0]] = face
-                reduced[face] = heap
+                owner[pivot] = face
+                reduced[face] = [pivot, *heap]  # the pivot first, as in a cut column
                 break
-    died = np.array(sorted(owner), dtype=np.int64)
-    return np.array([owner[t] for t in died.tolist()], dtype=np.int64), died
+    died = np.fromiter(owner, dtype=weights.dtype, count=len(owner))
+    order = np.argsort(died)
+    return np.fromiter(owner.values(), dtype=np.int64, count=len(owner))[order], died[order]
 
 
 # -- point-cloud file I/O ----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayespd import intensity, posterior
+from bayespd import classify, intensity, posterior
 from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      FlatPrior, GaussianMixtureIntensity, KMeansPrior,
                      MixtureComponent, ObservationModel, PersistenceDiagram,
@@ -420,6 +420,24 @@ def test_kmeans_prior_builds_mixture():
                                   prior.means)
     with pytest.raises(ValidationError, match="no features"):
         kmeans_prior([PersistenceDiagram.empty()], 2, 1.0)
+
+
+def test_kmeans_prior_retries_only_when_k_exceeds_the_locations(monkeypatch):
+    # a refusal for another reason (an unclusterable 1e200 feature) used to
+    # run k-means, and sort the points, a second time
+    calls = []
+
+    def spy(points, k, rng_seed):
+        calls.append(k)
+        return kmeans(points, k, rng_seed)
+
+    monkeypatch.setattr(classify, "kmeans", spy)
+    far = [diagram_at([(0.5, 1e200), (0.5, 1.0)]), diagram_at([(1.0, 1.0)])]
+    with pytest.raises(ValidationError, match=r"^points: n \* span\*\*2 must be finite"):
+        kmeans_prior(far, 2, 1.0)
+    assert calls == [2]
+    kmeans_prior([diagram_at([(0.0, 1.0), (2.0, 1.0)])], 3, 1.0)
+    assert calls == [2, 3, 2]
 
 
 @pytest.mark.parametrize("prior, fields", [

@@ -9,7 +9,7 @@ from bayespd import (FlatPrior, GaussianMixtureIntensity, KMeansPrior,
                      write_point_cloud_csv)
 from bayespd._util import derived_rng
 from bayespd.classify import PRIOR_SPECS
-from bayespd.cli import main, parse_grid, parse_prior_mode
+from bayespd.cli import build_parser, main, parse_grid, parse_prior_mode
 from bayespd.presets import experiment_presets
 from bayespd.rips import PointCloud
 
@@ -101,6 +101,26 @@ def test_version_help_and_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_one_parser_serves_every_call_of_a_process(square_csv, tmp_path, capsys):
+    # the parser is built on the first call and kept; each later call must
+    # behave as the first call of a fresh process
+    job = ["compute-pd", "--input", square_csv, "--output", str(tmp_path / "d.csv")]
+    calls = [job, ["--help"], ["--version"], ["compute-pd", "--max-dim", "x"], job]
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    firsts = []
+    for argv in calls:
+        build_parser.cache_clear()
+        firsts.append(run(argv))
+    assert [first[0] for first in firsts] == [0, 0, 0, 1, 0]
+    build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == firsts
+    assert build_parser.cache_info().misses == 1
 
 
 # -- compute-pd -------------------------------------------------------------------

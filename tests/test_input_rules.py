@@ -54,8 +54,14 @@ def refusals(tmp_path):
         yield "constructor", lambda a=args, k=kwargs: PersistenceDiagram(*a, **k), message
     yield ("from_tilted", lambda: PersistenceDiagram.from_tilted([0.5], ["1"], [1]),
            "persistences must be numbers, got '1'")
+    ragged = "must be a rectangular array, got rows of different lengths"
+    for args, what in ((([[0.5], 1.0], [1.0, 2.0], [1, 1]), "births"),
+                       (([0.5], [1.0], [[1, 1], [1]]), "dims")):
+        yield "constructor", lambda a=args: PersistenceDiagram(*a), f"{what} {ragged}"
     for points, message in (([["0.5", "1"], ["2", "3"]], "points must be numbers, got '0.5'"),
-                            ([[True, False], [0.0, 1.0]], "points must be numbers, got True")):
+                            ([[True, False], [0.0, 1.0]], "points must be numbers, got True"),
+                            ([[0.0, 1.0], [2.0]], f"points {ragged}"),
+                            ([[0.0, [1.0]], [2.0, 3.0]], f"points {ragged}")):
         yield "PointCloud", lambda p=points: PointCloud(p), message
     for args, message in ((("bcc", 1.5), "cells must be an integer, got 1.5"),
                           (("bcc", 0), "cells must be >= 1, got 0"),

@@ -207,6 +207,39 @@ def test_budget_error_fires_before_the_complex_is_built():
         assert peak < limit, (budget, peak)
 
 
+def test_top_dimension_cofaces_are_walked_not_stored():
+    # H1 of 200 points: building their ~1M triangles and sorting the
+    # incidences peaked near 100 MiB; the (face, vertex) walk stays near the
+    # size of the distance matrix
+    pts = np.random.default_rng(17).uniform(0.0, 1.0, (200, 2))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="essential"):
+            rips_persistence(PointCloud(pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+
+
+def test_keys_past_int64_are_exact_python_ints(monkeypatch):
+    # a coface key is below n_ranks * n**width; where that passes 2**63 the
+    # keys are Python ints, and forcing them on small clouds changes nothing
+    weights = rips_module._key_weights
+    assert weights(7_000, 7_000**2 // 2, 3).dtype == np.int64
+    assert weights(17_000, 2_000_000, 3).dtype == object
+    rng = np.random.default_rng(29)
+    clouds = [rng.integers(0, 3, (14, 3)).astype(float), rng.uniform(0.0, 1.0, (30, 2))]
+    expected = [rips(cloud, max_dim=2) for cloud in clouds]
+    monkeypatch.setattr(rips_module, "_key_weights",
+                        lambda n, n_ranks, width: weights(n, 2**64, width))
+    for cloud, diagram in zip(clouds, expected):
+        got = rips(cloud, max_dim=2)
+        assert got.births.tobytes() == diagram.births.tobytes()
+        assert got.deaths.tobytes() == diagram.deaths.tobytes()
+        assert got.dims.tobytes() == diagram.dims.tobytes()
+
+
 def test_filtration_is_cut_at_the_enclosing_radius(monkeypatch):
     # an infinite radius arrives as min_i max_j d(i, j); a smaller one, and
     # the zero enclosing radius of coincident points, arrive unchanged
