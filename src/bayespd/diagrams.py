@@ -4,11 +4,11 @@ All computation in this package happens in tilted coordinates, where a
 feature (birth b, death d) becomes the point (b, d - b) in the closed first
 quadrant (the "wedge"). Files on disk use birth-death coordinates.
 
-A diagram stores births, deaths AND persistences. The redundant coordinate
-is filled in exactly once at construction, which makes the coordinate
+A diagram stores one (n, 2) array of (birth, persistence) rows and the
+deaths beside it, the persistences derived once, which makes the coordinate
 transforms lossless: in binary64, ``b + fl(d - b)`` can differ from ``d`` on
 round-half-even ties, so recomputing on every conversion would break exact
-round trips. Carrying both arrays sidesteps that entirely.
+round trips. Carrying the deaths too sidesteps that entirely.
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ def _from_birth_death(births, deaths, dims, label="feature {}".format):
     essential = np.isposinf(deaths)  # checked as if it died at birth, then dropped
     _check_rows(births, np.where(essential, births, deaths), dims, label)
     keep = ~essential
-    return PersistenceDiagram(births[keep], deaths[keep], dims[keep],
-                              n_dropped_infinite=int(np.count_nonzero(essential)))
+    return _stored(births[keep], deaths[keep], dims[keep], int(np.count_nonzero(essential)))
+
+
+def _stored(births, deaths, dims, n_dropped_infinite=0) -> "PersistenceDiagram":
+    """A new diagram of float columns that passed ``_check_rows``, not checked again."""
+    return object.__new__(PersistenceDiagram)._store(births, deaths, dims, n_dropped_infinite)
 
 
 class PersistenceDiagram:
@@ -74,25 +78,29 @@ class PersistenceDiagram:
 
     Notes
     -----
-    ``persistences`` is always derived as ``deaths - births`` so that two
-    diagrams with identical (birth, death, dim) triples are identical in
-    every view. Equality is multiset equality over those triples, bit exact.
+    ``tilted_points`` is one read-only (n, 2) array of (birth, persistence)
+    rows whose columns are ``births`` and ``persistences = deaths - births``,
+    so two diagrams with identical (birth, death, dim) triples are identical
+    in every view. Equality is multiset equality over those triples, bit exact.
     """
 
-    __slots__ = ("births", "deaths", "persistences", "dims", "n_dropped_infinite",
-                 "_tilted")
+    __slots__ = ("tilted_points", "births", "persistences", "deaths", "dims",
+                 "n_dropped_infinite")
 
     def __init__(self, births, deaths, dims, *, n_dropped_infinite: int = 0):
         births, deaths, dims = _columns(births, deaths, dims)
         _check_rows(births, deaths, dims)
-        self.births = births.copy()
-        self.deaths = deaths.copy()
-        self.persistences = deaths - births
-        self.dims = dims.astype(np.int64)
-        self.n_dropped_infinite = as_integer(n_dropped_infinite, "n_dropped_infinite", ge=0)
-        self._tilted = None
-        for arr in (self.births, self.deaths, self.persistences, self.dims):
+        self._store(births, deaths, dims, n_dropped_infinite)
+
+    def _store(self, births, deaths, dims, n_dropped_infinite) -> "PersistenceDiagram":
+        """Keep checked float columns as read-only copies, built once."""
+        self.tilted_points = np.column_stack([births, deaths - births])
+        self.deaths, self.dims = deaths.copy(), dims.astype(np.int64)
+        for arr in (self.tilted_points, self.deaths, self.dims):
             arr.flags.writeable = False
+        self.births, self.persistences = self.tilted_points.T  # read-only views
+        self.n_dropped_infinite = as_integer(n_dropped_infinite, "n_dropped_infinite", ge=0)
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -120,28 +128,20 @@ class PersistenceDiagram:
             i = int(np.argmax(bad))
             raise ValidationError(f"feature {i}: persistence must be finite and >= 0, "
                                   f"got {float(persistences[i])}")
-        return cls(births, births + persistences, dims)
+        deaths = births + persistences
+        _check_rows(births, deaths, dims)
+        return _stored(births, deaths, dims)
 
     @classmethod
     def empty(cls) -> "PersistenceDiagram":
-        return cls([], [], [])
+        return _stored(np.empty(0), np.empty(0), np.empty(0))
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def tilted_points(self) -> np.ndarray:
-        """(n, 2) read-only array of (birth, persistence) points in the
-        wedge, built on first use."""
-        if self._tilted is None:
-            self._tilted = np.column_stack([self.births, self.persistences])
-            self._tilted.flags.writeable = False
-        return self._tilted
 
     def restrict(self, homology_dim: int) -> "PersistenceDiagram":
         """The sub-diagram of features in a single homology dimension."""
         keep = self.dims == as_integer(homology_dim, "homology dimension")
-        return PersistenceDiagram(self.births[keep], self.deaths[keep],
-                                  self.dims[keep])
+        return _stored(self.births[keep], self.deaths[keep], self.dims[keep])
 
     @property
     def homology_dims(self) -> np.ndarray:

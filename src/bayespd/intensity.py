@@ -218,7 +218,7 @@ class GaussianMixtureIntensity:
     """
 
     __slots__ = ("components", "weights", "means", "variances", "_terms",
-                 "_masses", "_total")
+                 "_wedge_masses", "_masses", "_total")
 
     def __init__(self, components: Iterable[MixtureComponent] = ()):
         components = tuple(components)
@@ -235,7 +235,7 @@ class GaussianMixtureIntensity:
         for arr in (self.weights, self.means, self.variances):
             arr.flags.writeable = False
         self._terms = canonical_terms(self.weights, self.means, self.variances)
-        self._masses = self._total = None  # on first use
+        self._wedge_masses = self._masses = self._total = None  # on first use
 
     def __len__(self) -> int:
         return len(self.components)
@@ -259,10 +259,11 @@ class GaussianMixtureIntensity:
         return log_mixture_sum(x, *self._terms)
 
     def component_masses(self) -> np.ndarray:
-        """Per-component wedge masses c_i * integral of N*(mu_i, v_i), read
-        only, computed once."""
+        """Per-component wedge masses c_i * Q_i, read only, computed once;
+        Q_i, the wedge integral of N(mu_i, v_i I), is kept for the sampler."""
         if self._masses is None:
-            self._masses = self.weights * wedge_gaussian_mass(self.means, self.variances)
+            self._wedge_masses = wedge_gaussian_mass(self.means, self.variances)
+            self._masses = self.weights * self._wedge_masses
             self._masses.flags.writeable = False
         return self._masses
 

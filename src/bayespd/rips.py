@@ -30,8 +30,8 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, reduce
-from itertools import combinations
+from functools import cache, cached_property, reduce
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -63,8 +63,15 @@ class PointCloud:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """The read-only (n, n) ``_distance_matrix`` of the points, built once."""
+        dist = _distance_matrix(self.points)
+        dist.flags.writeable = False
+        return dist
+
     def diameter(self) -> float:
-        return float(_distance_matrix(self.points).max(initial=0.0))
+        return float(self._distances.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ def rips_persistence(cloud: PointCloud,
         raise ValidationError("cannot build a filtration on an empty cloud")
 
     top = params.max_homology_dim
-    enclosing = float(_distance_matrix(cloud.points).max(axis=1).min())
+    enclosing = float(cloud._distances.max(axis=1).min())
     cut = 0 < enclosing < params.max_radius  # not for coincident points
     simplices, values = _build_filtration(cloud, replace(
         params, max_homology_dim=max(top - 1, 0),
@@ -159,7 +166,7 @@ def _build_filtration(cloud: PointCloud, params: FiltrationParams):
     each the largest of its vertices' ``_distance_matrix`` entries."""
     n = cloud.n_points
     _check_budget(n, params.simplex_budget)
-    dist = _distance_matrix(cloud.points)
+    dist = cloud._distances
     adjacency = dist <= params.max_radius
     np.fill_diagonal(adjacency, False)
     layers = [np.arange(n)[:, None]]
@@ -230,7 +237,8 @@ def _union_find(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a = parent[a]
         return a
 
-    for position, (a, b) in enumerate(edges.tolist()):
+    slices = (edges[lo:lo + n].tolist() for lo in range(0, len(edges), n))  # listed as read
+    for position, (a, b) in enumerate(chain.from_iterable(slices)):
         if len(died) == n - 1:
             break
         a, b = sorted((root(a), root(b)))

@@ -17,7 +17,7 @@ import numpy as np
 from ._util import as_finite, as_generator, as_integer
 from .diagrams import PersistenceDiagram
 from .errors import SamplingError, ValidationError
-from .intensity import GaussianMixtureIntensity, wedge_gaussian_mass
+from .intensity import GaussianMixtureIntensity
 from .posterior import ObservationModel
 from .rips import PointCloud
 
@@ -56,13 +56,11 @@ class LatticeSpec:
 
 
 def _sample_wedge_gaussian(rng: np.random.Generator, mean, variance,
-                           count: int) -> np.ndarray:
+                           count: int, acceptance: float) -> np.ndarray:
     """Draw ``count`` points from N(mean, variance I) conditioned on the
-    closed first quadrant, by batched rejection."""
+    closed first quadrant, of mass ``acceptance``, by batched rejection."""
     if count == 0:
         return np.zeros((0, 2))
-    acceptance = wedge_gaussian_mass(np.asarray(mean, dtype=np.float64),
-                                     float(variance))
     if acceptance < MIN_ACCEPTANCE:
         raise SamplingError(
             f"wedge acceptance rate {acceptance:.3g} for component at "
@@ -119,7 +117,7 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
     component's wedge-truncated Gaussian.
     """
     rng = as_generator(rng_seed)
-    masses = intensity.component_masses()
+    masses = intensity.component_masses()  # fills intensity._wedge_masses too
     total = math.fsum(masses)
     n = int(rng.poisson(total))  # Poisson(0) is 0 and draws nothing
     if n == 0:
@@ -129,7 +127,7 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
     pieces = []
     for i, c in enumerate(counts):
         pieces.append(_sample_wedge_gaussian(
-            rng, intensity.means[i], intensity.variances[i], int(c)))
+            rng, intensity.means[i], intensity.variances[i], int(c), intensity._wedge_masses[i]))
     pts = np.concatenate(pieces)
     return PersistenceDiagram.from_tilted(
         pts[:, 0], pts[:, 1], np.full(n, homology_dim, dtype=np.int64))

@@ -6,6 +6,7 @@ import pytest
 from bayespd import (PersistenceDiagram, ValidationError, read_diagram,
                      read_diagram_csv, read_diagram_json, write_diagram,
                      write_diagram_csv, write_diagram_json)
+from bayespd import diagrams as diagrams_module
 
 
 def random_diagram(rng, n=20):
@@ -25,12 +26,53 @@ def test_persistences_derived_from_deaths():
 
 
 def test_tilted_points_built_once_read_only():
+    # every builder stores one (birth, persistence) array; births and
+    # persistences are its column views, not copies
     d = random_diagram(np.random.default_rng(5))
-    first = d.tilted_points
-    assert d.tilted_points is first and not first.flags.writeable
-    assert first.tobytes() == np.column_stack([d.births, d.persistences]).tobytes()
-    with pytest.raises(ValueError):
-        first[0, 0] = 1.0
+    built = [d, PersistenceDiagram.from_birth_death(d.births, d.deaths, d.dims),
+             PersistenceDiagram.from_tilted(d.births, d.persistences, d.dims),
+             d.restrict(1)]
+    for diagram in built:
+        first = diagram.tilted_points
+        assert diagram.tilted_points is first and first.shape == (len(diagram), 2)
+        assert first.tobytes() == np.column_stack([diagram.births,
+                                                   diagram.persistences]).tobytes()
+        assert np.shares_memory(diagram.births, first)
+        assert np.shares_memory(diagram.persistences, first)
+        for arr in (first, diagram.births, diagram.persistences, diagram.deaths, diagram.dims):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert diagram.persistences.tobytes() == (diagram.deaths - diagram.births).tobytes()
+    assert PersistenceDiagram.empty().tilted_points.shape == (0, 2)
+
+
+def test_each_diagram_checks_its_rows_once(tmp_path, monkeypatch):
+    # a builder whose rows were checked stores them; restrict and empty check nothing
+    calls, check = [], diagrams_module._check_rows
+    monkeypatch.setattr(diagrams_module, "_check_rows",
+                        lambda *args: calls.append(args) or check(*args))
+    births, deaths, dims = [0.1, 0.2, 0.3], [0.5, 0.4, 0.9], [0, 1, 1]
+    d = PersistenceDiagram(births, deaths, dims)
+    write_diagram(d, tmp_path / "d.csv")
+    write_diagram(d, tmp_path / "d.json")
+    builds = {
+        "constructor": lambda: PersistenceDiagram(births, deaths, dims),
+        "from_birth_death": lambda: PersistenceDiagram.from_birth_death(
+            births, deaths[:2] + [np.inf], dims),
+        "read_diagram_csv": lambda: read_diagram(tmp_path / "d.csv"),
+        "read_diagram_json": lambda: read_diagram(tmp_path / "d.json"),
+        "from_tilted": lambda: PersistenceDiagram.from_tilted(births, [0.4, 0.2, 0.6], dims),
+        "restrict": lambda: d.restrict(1),
+        "empty": PersistenceDiagram.empty,
+    }
+    counts = {}
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        counts[name] = len(calls)
+    assert counts == {"constructor": 1, "from_birth_death": 1, "read_diagram_csv": 1,
+                      "read_diagram_json": 1, "from_tilted": 1, "restrict": 0, "empty": 0}
 
 
 def test_round_half_even_tie_keeps_death_exact():

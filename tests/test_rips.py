@@ -222,6 +222,36 @@ def test_top_dimension_cofaces_are_walked_not_stored():
     assert peak < 20 * 2**20, peak
 
 
+def test_union_find_reads_only_the_edges_it_uses():
+    # H0 of 1,000 uniform points makes its last merge near edge 4,400 of
+    # about 363,000; listing every edge as Python ints peaked near 70 MiB
+    pts = np.random.default_rng(23).uniform(0.0, 1.0, (1000, 2))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="essential"):
+            diagram = rips_persistence(PointCloud(pts), FiltrationParams(max_homology_dim=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(diagram) == 999
+    assert peak < 48 * 2**20, peak
+
+
+def test_one_distance_matrix_per_rips_call(monkeypatch):
+    # the enclosing radius, the filtration and diameter() share one matrix
+    calls, build = [], rips_module._distance_matrix
+    monkeypatch.setattr(rips_module, "_distance_matrix",
+                        lambda points: calls.append(len(points)) or build(points))
+    pts = np.random.default_rng(31).uniform(0.0, 1.0, (20, 2))
+    for max_dim in (0, 1, 2):
+        cloud = PointCloud(pts)
+        with pytest.warns(UserWarning, match="essential"):
+            rips_persistence(cloud, FiltrationParams(max_homology_dim=max_dim))
+        assert cloud.diameter() == np.max(pdist(pts))
+    assert calls == [20, 20, 20]
+    assert not cloud._distances.flags.writeable
+
+
 def test_keys_past_int64_are_exact_python_ints(monkeypatch):
     # a coface key is below n_ranks * n**width; where that passes 2**63 the
     # keys are Python ints, and forcing them on small clouds changes nothing

@@ -53,11 +53,13 @@ def test_poisson_pp_component_proportions():
 
 
 def test_wedge_rejection_refuses_hopeless_component():
+    from bayespd.intensity import wedge_gaussian_mass
     from bayespd.simulate import _sample_wedge_gaussian
 
     # mean 5 sigma into the third quadrant: wedge mass ~8e-14, refused upfront
     with pytest.raises(SamplingError, match="acceptance"):
-        _sample_wedge_gaussian(derived_rng(0), (-0.5, -0.5), 0.01, 5)
+        _sample_wedge_gaussian(derived_rng(0), (-0.5, -0.5), 0.01, 5,
+                               wedge_gaussian_mass((-0.5, -0.5), 0.01))
     # literally unreachable component (mass exactly 0) never draws a count
     far = GaussianMixtureIntensity([MixtureComponent(5.0, (-9.0, -9.0), 0.01)])
     assert sample_poisson_pp(far, 0) == PersistenceDiagram.empty()

@@ -5,9 +5,10 @@
 Each ``src`` directory runs the same command-line jobs in its own
 subprocess, writing under one temporary directory, and the script prints
 ``diff -r`` of the two output trees (and a file count on stderr): empty
-output and exit status 0 mean every file is byte-identical. What each job
-prints, warnings included, goes into its tree too, as ``stdout/JOB.txt``
-next to the job's outputs, with the tree's root written ``{root}``. The
+output and exit status 0 mean every file is byte-identical. Each job's exit
+code and what it prints, warnings included, go into its tree too, as
+``stdout/JOB.txt`` next to the job's outputs, with the tree's root written
+``{root}``. The
 jobs are the benchmark's own, built by ``perfbench/workloads.py`` (loaded
 read-only; nothing is written into the repository): ``experiment --preset aptlike-cv
 --seed 21``, the 16 circle presets at seeds 4 and 5, and both ``bayespd
@@ -18,7 +19,9 @@ then cross-validate the ``aptlike-cv`` diagrams, copied into a ``bcc`` and an
 reports go into ``classify/``. Last come the jobs of ``CLI_JOBS`` under
 ``cli/``: ``simulate circle`` and ``compute-pd`` on its cloud (a CSV and,
 truncated at a radius, a JSON diagram), and ``simulate diagram`` with a
-clutter model and ``--latent-out``, in both diagram formats.
+clutter model and ``--latent-out``, in both diagram formats. The jobs of
+``REFUSAL_JOBS`` follow there, each of which must exit nonzero, so refusal
+messages and exit codes are compared too.
 """
 
 from __future__ import annotations
@@ -66,6 +69,31 @@ CLI_JOBS = (
                       "{cli}/observed.json", "--latent-out", "{cli}/latent.csv"]),
 )
 
+#: inputs of the refusal jobs, written under ``cli/`` with ``model.json``:
+#: a diagram CSV whose line 3 dies before its birth, a diagram JSON whose
+#: essential feature 1 has dimension 3, and a cloud whose distances overflow
+REFUSAL_INPUTS = {
+    "bad-row.csv": "birth,death,dim\n0.1,0.4,1\n0.5,0.2,1\n",
+    "bad-essential.json": '[{"birth": 0.1, "death": 0.4, "dim": 1},\n'
+                          ' {"birth": 0.5, "death": Infinity, "dim": 3}]\n',
+    "huge.csv": "0,0\n1e200,0\n0,1e200\n",
+}
+
+#: command lines run under ``cli/`` after ``CLI_JOBS``, each expected to be
+#: refused: two bad diagrams (exit 2), a simplex budget too small (exit 3)
+#: and infinite distances (exit 2)
+REFUSAL_JOBS = (
+    ("refuse-csv-row", ["posterior", "--prior", "informative", "--model", "{cli}/model.json",
+                        "--obs", "{cli}/bad-row.csv", "--out", "{cli}/refused.csv"]),
+    ("refuse-json-essential", ["posterior", "--prior", "informative", "--model",
+                               "{cli}/model.json", "--obs", "{cli}/bad-essential.json",
+                               "--out", "{cli}/refused.csv"]),
+    ("refuse-budget", ["compute-pd", "--input", "{cli}/circle.csv", "--output",
+                       "{cli}/refused.csv", "--budget", "100"]),
+    ("refuse-inf-distance", ["compute-pd", "--input", "{cli}/huge.csv", "--output",
+                             "{cli}/refused.csv"]),
+)
+
 
 def write_outputs(src: Path, outdir: Path) -> None:
     """Run every job with the ``bayespd`` found on ``sys.path``, which must
@@ -76,14 +104,16 @@ def write_outputs(src: Path, outdir: Path) -> None:
     if not Path(bayespd.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"bayespd was imported from {bayespd.__file__}, not {src}")
 
-    def run(argv, printed_to: Path) -> None:
+    def run(argv, printed_to: Path, refused: bool = False) -> None:
+        """Run ``main(argv)``, which must exit 0 (nonzero if ``refused``), and
+        write its exit code and what it prints to ``printed_to``."""
         printed_to.parent.mkdir(parents=True, exist_ok=True)
         with contextlib.redirect_stdout(io.StringIO()) as printed, \
                 contextlib.redirect_stderr(printed):
             code = main(argv)
-        if code != 0:
+        if (code != 0) != refused:
             raise SystemExit(f"bayespd {' '.join(argv)}: exited {code}")
-        printed_to.write_text(printed.getvalue().replace(str(outdir), "{root}"))
+        printed_to.write_text(f"exit {code}\n" + printed.getvalue().replace(str(outdir), "{root}"))
 
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -109,8 +139,11 @@ def write_outputs(src: Path, outdir: Path) -> None:
     cli = outdir / "cli"
     cli.mkdir()
     (cli / "model.json").write_text(json.dumps(CLUTTER_MODEL))
-    for name, argv in CLI_JOBS:
-        run([arg.format(cli=cli) for arg in argv], cli / "stdout" / f"{name}.txt")
+    for name, text in REFUSAL_INPUTS.items():
+        (cli / name).write_text(text)
+    for jobs, refused in ((CLI_JOBS, False), (REFUSAL_JOBS, True)):
+        for name, argv in jobs:
+            run([arg.format(cli=cli) for arg in argv], cli / "stdout" / f"{name}.txt", refused)
 
 
 def main(argv=None) -> int:
