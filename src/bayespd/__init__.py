@@ -12,7 +12,7 @@ verification.
 from .classify import (BayesFactorReport, BayesFactorResult, ClassModel,
                        CrossValidationConfig, FlatPrior, KMeansPrior,
                        bayes_factor, bootstrap_auc, cross_validate, kmeans,
-                       kmeans_prior, log_poisson_density, roc_curve)
+                       log_poisson_density, roc_curve)
 from .diagrams import (PersistenceDiagram, read_diagram, read_diagram_csv,
                        read_diagram_json, write_diagram, write_diagram_csv,
                        write_diagram_json)
@@ -51,7 +51,7 @@ __all__ = [
     "aptlike_observation_model", "bayes_factor", "bootstrap_auc",
     "case_observation_model", "cross_validate", "experiment_preset",
     "experiment_presets", "gaussian_density", "gaussian_product",
-    "h1_diagram", "in_wedge", "kmeans", "kmeans_prior", "lattice_sites",
+    "h1_diagram", "in_wedge", "kmeans", "lattice_sites",
     "log_poisson_density", "posterior_closed_form",
     "posterior_numeric_oracle", "prior_preset", "read_diagram",
     "read_diagram_csv", "read_diagram_json", "read_mixture_json",

@@ -3,6 +3,7 @@ CSV reading, atomic file writes of bytes, CSV and JSON."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -15,6 +16,10 @@ from .errors import ValidationError
 
 # All randomness in the package flows through numpy's default_rng (PCG64),
 # which is seedable and produces the same 64-bit stream on every platform.
+
+#: Cells (point-component, axis-value-component or face-vertex) a blockwise
+#: kernel handles at once: it bounds their working memory whatever the input size.
+BLOCK_CELLS = 1 << 16
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -103,33 +108,28 @@ def as_float_array(values, what: str) -> np.ndarray:
     return np.atleast_1d(np.asarray(values, dtype=np.float64))
 
 
-class key_path:
+@contextlib.contextmanager
+def key_path(what, data=None):
     """Run the block on ``data``; its ValidationErrors get ``what`` as a key-path prefix."""
-
-    def __init__(self, what, data=None):
-        self.what, self.data = what, data
-
-    def __enter__(self):
-        return self.data
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, ValidationError):
-            raise ValidationError(f"{self.what}: {exc}") from None
+    try:
+        yield data
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
-class json_object(key_path):
+@contextlib.contextmanager
+def json_object(data, what: str, required=(), optional=()):
     """Run the block on ``data``, a JSON object with every ``required`` key and no
     others but ``optional``; its ValidationErrors get ``what`` as a key-path prefix."""
-
-    def __init__(self, data, what: str, required=(), optional=()):
-        if not isinstance(data, dict):
-            raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
-        if data.keys() != set(required):  # else no key is missing or unknown
-            for kind, keys in (("unknown", data.keys() - {*required, *optional}),
-                               ("missing", set(required) - data.keys())):
-                if keys:
-                    raise ValidationError(f"{what}: {kind} keys {sorted(keys)}")
-        super().__init__(what, data)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if data.keys() != set(required):  # else no key is missing or unknown
+        for kind, keys in (("unknown", data.keys() - {*required, *optional}),
+                           ("missing", set(required) - data.keys())):
+            if keys:
+                raise ValidationError(f"{what}: {kind} keys {sorted(keys)}")
+    with key_path(what):
+        yield data
 
 
 def read_csv_rows(path: str | os.PathLike, parse, header=None) -> list:

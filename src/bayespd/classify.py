@@ -232,27 +232,6 @@ def kmeans(points: np.ndarray, k: int, rng_seed) -> np.ndarray:
     return best[np.lexsort((best[:, 1], best[:, 0]))]
 
 
-def kmeans_prior(training: Sequence[PersistenceDiagram], k: int,
-                 variance: float, weight: float = 1.0,
-                 rng_seed=0) -> GaussianMixtureIntensity:
-    """Elicit a prior by clustering pooled training features.
-
-    All tilted features of the training diagrams are pooled and clustered
-    into ``k`` centers, or one per location when fewer are distinct; each
-    center becomes a mixture component with the given weight and variance.
-    """
-    pooled = [d.tilted_points for d in training if len(d)]
-    if not pooled:
-        raise ValidationError("no features in the training diagrams")
-    pooled = np.concatenate(pooled)
-    try:
-        centers = kmeans(pooled, k, rng_seed)
-    except _TooFewLocations:  # sorts the points again, then clusters one per location
-        centers = kmeans(pooled, len(np.unique(pooled, axis=0)), rng_seed)
-    return GaussianMixtureIntensity(
-        [MixtureComponent(weight, tuple(c), variance) for c in centers])
-
-
 # -- ROC / AUC ----------------------------------------------------------------
 
 def roc_curve(positive_scores, negative_scores) -> tuple[list[tuple[float, float]], float]:
@@ -316,7 +295,18 @@ class KMeansPrior:
         object.__setattr__(self, "weight", as_finite(self.weight, "weight", gt=0))
 
     def build(self, training: Sequence[PersistenceDiagram], rng_seed) -> GaussianMixtureIntensity:
-        return kmeans_prior(training, self.k, self.variance, self.weight, rng_seed)
+        """Pool the tilted features of ``training`` and cluster them into ``k``
+        centers, or one per location when fewer are distinct."""
+        pooled = [d.tilted_points for d in training if len(d)]
+        if not pooled:
+            raise ValidationError("no features in the training diagrams")
+        pooled = np.concatenate(pooled)
+        try:
+            centers = kmeans(pooled, self.k, rng_seed)
+        except _TooFewLocations:  # sorts the points again, then clusters one per location
+            centers = kmeans(pooled, len(np.unique(pooled, axis=0)), rng_seed)
+        return GaussianMixtureIntensity(
+            [MixtureComponent(self.weight, tuple(c), self.variance) for c in centers])
 
 
 @dataclass(frozen=True, kw_only=True)

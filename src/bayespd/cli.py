@@ -24,7 +24,7 @@ from ._util import derived_rng, from_json, write_json
 from .classify import (DENSITY_MODES, PRIOR_SPECS, CrossValidationConfig,
                        FlatPrior, KMeansPrior, cross_validate)
 from .diagrams import read_diagram, read_diagram_json, write_diagram
-from .errors import NumericalError, UsageError, ValidationError
+from .errors import BayesPDError, NumericalError, UsageError, ValidationError
 from .intensity import GaussianMixtureIntensity, read_mixture_json
 from .posterior import (Grid, ObservationModel, grid_argmax, mass_summary,
                         posterior_closed_form, scaled_intensity_grid,
@@ -440,8 +440,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, NumericalError, ValidationError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (BayesPDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             return 1

@@ -17,15 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import as_finite, from_json, json_object, write_json
+from ._util import BLOCK_CELLS, as_finite, from_json, json_object, write_json
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 SQRT_HALF = math.sqrt(0.5)
-
-#: Point- or axis-value-component cells the mixture kernels evaluate at once.
-#: It bounds their working memory whatever the number of points and components.
-BLOCK_CELLS = 1 << 16
 
 
 def squared_distance(x, mean) -> np.ndarray:
@@ -156,7 +152,8 @@ def wedge_gaussian_mass(mean, variance):
     variance = np.asarray(variance, dtype=np.float64)
     if np.any(variance <= 0) or np.any(~np.isfinite(variance)):
         raise ValidationError("variance must be finite and > 0")
-    z = mean / np.sqrt(variance)[..., None]
+    with np.errstate(over="ignore"):  # a mean near the float limit: z is +-inf, Phi exact
+        z = mean / np.sqrt(variance)[..., None]
     erfc = np.fromiter(map(math.erfc, (z * -SQRT_HALF).ravel().tolist()),
                        np.float64, z.size)
     phi = 0.5 * erfc.reshape(z.shape)
@@ -235,7 +232,10 @@ class GaussianMixtureIntensity:
         for arr in (self.weights, self.means, self.variances):
             arr.flags.writeable = False
         self._terms = canonical_terms(self.weights, self.means, self.variances)
-        self._wedge_masses = self._masses = self._total = None  # on first use
+        self._wedge_masses = wedge_gaussian_mass(self.means, self.variances)  # Q_i
+        self._masses = self.weights * self._wedge_masses
+        self._masses.flags.writeable = False
+        self._total = math.fsum(self._masses)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -259,12 +259,8 @@ class GaussianMixtureIntensity:
         return log_mixture_sum(x, *self._terms)
 
     def component_masses(self) -> np.ndarray:
-        """Per-component wedge masses c_i * Q_i, read only, computed once;
-        Q_i, the wedge integral of N(mu_i, v_i I), is kept for the sampler."""
-        if self._masses is None:
-            self._wedge_masses = wedge_gaussian_mass(self.means, self.variances)
-            self._masses = self.weights * self._wedge_masses
-            self._masses.flags.writeable = False
+        """Per-component wedge masses c_i * Q_i, read only; Q_i, the wedge
+        integral of N(mu_i, v_i I), is kept for the sampler."""
         return self._masses
 
     def total_mass(self) -> float:
@@ -273,8 +269,6 @@ class GaussianMixtureIntensity:
         Uses exactly rounded summation, so the value does not depend on
         component order.
         """
-        if self._total is None:
-            self._total = math.fsum(self.component_masses())
         return self._total
 
     def __eq__(self, other):

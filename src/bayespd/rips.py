@@ -35,12 +35,12 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ._util import as_finite, as_float_array, as_integer, key_path, read_csv_rows, write_csv
+from ._util import (BLOCK_CELLS, as_finite, as_float_array, as_integer, key_path,
+                    read_csv_rows, write_csv)
 from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
 from .errors import SimplexBudgetError, ValidationError
 
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
-_BLOCK_CELLS = 1 << 16  # (face, vertex) cells per block of coface enumeration
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def rips_persistence(cloud: PointCloud,
     rank_of = np.full((n, n), len(ticks), dtype=np.min_scalar_type(len(ticks)))  # no edge
     rank_of[edges[:, 0], edges[:, 1]] = rank_of[edges[:, 1], edges[:, 0]] = np.searchsorted(
         ticks, values[starts[1]:starts[2]])
-    count, step = len(simplices), max(1, _BLOCK_CELLS // n)
+    count, step = len(simplices), max(1, BLOCK_CELLS // n)
     if top and count + math.comb(n, top + 2) > params.simplex_budget:  # it might not fit:
         for lo in range(0, len(layers[top][0]), step):  # count the top layer, block by block
             count += len(_cofaces(layers[top][0][lo:lo + step], rank_of < len(ticks), count,
@@ -204,7 +204,7 @@ def _cofaces(faces: np.ndarray, adjacency: np.ndarray, count: int,
     adjacent to all of its vertices, in lexicographic order. A block of rows
     is extended only once ``count`` plus the cofaces found fits the budget."""
     n = len(adjacency)
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, BLOCK_CELLS // n)
     parts = [np.empty((0, faces.shape[1] + 1), dtype=np.int64)]
     for lo in range(0, len(faces), step):
         block = faces[lo:lo + step]
@@ -273,7 +273,7 @@ def _coboundary_pairs(faces, ranks, rank_of, cleared):
     which equal pairs cancel."""
     n, width, absent = len(rank_of), faces.shape[1], int(rank_of[0, 0])
     first, first_rank = np.empty(len(faces), dtype=np.intp), np.empty_like(ranks)
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, BLOCK_CELLS // n)
     for lo in range(0, len(faces), step):
         cell = reduce(np.maximum, rank_of[faces[lo:lo + step].T], ranks[lo:lo + step, None])
         first[lo:lo + step], first_rank[lo:lo + step] = cell.argmin(axis=1), cell.min(axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 from ._util import as_finite, as_generator, as_integer
 from .diagrams import PersistenceDiagram
 from .errors import SamplingError, ValidationError
-from .intensity import GaussianMixtureIntensity
+from .intensity import GaussianMixtureIntensity, in_wedge
 from .posterior import ObservationModel
 from .rips import PointCloud
 
@@ -78,7 +78,7 @@ def _sample_wedge_gaussian(rng: np.random.Generator, mean, variance,
                 f"rejection sampling exhausted {MAX_PROPOSALS} proposals")
         draw = rng.normal(np.asarray(mean, dtype=np.float64), sd, (batch, 2))
         proposals += batch
-        good = draw[(draw[:, 0] >= 0.0) & (draw[:, 1] >= 0.0)]
+        good = draw[in_wedge(draw)]
         take = min(len(good), count - filled)
         out[filled:filled + take] = good[:take]
         filled += take
@@ -102,7 +102,7 @@ def _sample_marks(rng: np.random.Generator, centers: np.ndarray,
                 f"mark sampling exhausted {MAX_PROPOSALS} proposals")
         draw = rng.normal(centers[pending], sd)
         proposals += len(pending)
-        ok = (draw[:, 0] >= 0.0) & (draw[:, 1] >= 0.0)
+        ok = in_wedge(draw)
         out[pending[ok]] = draw[ok]
         pending = pending[~ok]
     return out
@@ -117,8 +117,7 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
     component's wedge-truncated Gaussian.
     """
     rng = as_generator(rng_seed)
-    masses = intensity.component_masses()  # fills intensity._wedge_masses too
-    total = math.fsum(masses)
+    masses, total = intensity.component_masses(), intensity.total_mass()
     n = int(rng.poisson(total))  # Poisson(0) is 0 and draws nothing
     if n == 0:
         return PersistenceDiagram.empty()

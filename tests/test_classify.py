@@ -13,8 +13,7 @@ from bayespd import (BayesFactorResult, ClassModel, CrossValidationConfig,
                      MixtureComponent, ObservationModel, PersistenceDiagram,
                      ValidationError, aptlike_observation_model,
                      bayes_factor, bootstrap_auc, cross_validate, kmeans,
-                     kmeans_prior, log_poisson_density, roc_curve,
-                     sample_poisson_pp)
+                     log_poisson_density, roc_curve, sample_poisson_pp)
 from bayespd._util import derived_rng
 from bayespd.classify import KMEANS_RESTARTS, PRIOR_SPECS, _kmeans_restarts
 
@@ -412,14 +411,14 @@ def test_kmeans_prior_builds_mixture():
     training = [diagram_at([(0.0, 0.0), (1.0, 2.0)]),
                 diagram_at([(3.0, 1.0)]),
                 PersistenceDiagram.empty()]
-    prior = kmeans_prior(training, 3, variance=2.0, weight=1.5)
+    prior = KMeansPrior(k=3, variance=2.0, weight=1.5).build(training, 0)
     np.testing.assert_array_equal(prior.means, [[0, 0], [1, 2], [3, 1]])
     assert np.all(prior.variances == 2.0) and np.all(prior.weights == 1.5)
     # more centers asked for than distinct locations: one per location
-    np.testing.assert_array_equal(kmeans_prior(training, 5, 2.0).means,
+    np.testing.assert_array_equal(KMeansPrior(k=5, variance=2.0).build(training, 0).means,
                                   prior.means)
     with pytest.raises(ValidationError, match="no features"):
-        kmeans_prior([PersistenceDiagram.empty()], 2, 1.0)
+        KMeansPrior(k=2, variance=1.0).build([PersistenceDiagram.empty()], 0)
 
 
 def test_kmeans_prior_retries_only_when_k_exceeds_the_locations(monkeypatch):
@@ -434,9 +433,9 @@ def test_kmeans_prior_retries_only_when_k_exceeds_the_locations(monkeypatch):
     monkeypatch.setattr(classify, "kmeans", spy)
     far = [diagram_at([(0.5, 1e200), (0.5, 1.0)]), diagram_at([(1.0, 1.0)])]
     with pytest.raises(ValidationError, match=r"^points: n \* span\*\*2 must be finite"):
-        kmeans_prior(far, 2, 1.0)
+        KMeansPrior(k=2, variance=1.0).build(far, 0)
     assert calls == [2]
-    kmeans_prior([diagram_at([(0.0, 1.0), (2.0, 1.0)])], 3, 1.0)
+    KMeansPrior(k=3, variance=1.0).build([diagram_at([(0.0, 1.0), (2.0, 1.0)])], 0)
     assert calls == [2, 3, 2]
 
 
