@@ -25,6 +25,14 @@ MAX_HOMOLOGY_DIM = 2
 CSV_HEADER = "birth,death,dim"
 
 
+def as_homology_dim(value, what: str = "homology dimension") -> int:
+    """``as_integer(value)`` of a homology dimension in 0..MAX_HOMOLOGY_DIM."""
+    k = as_integer(value, what)
+    if not 0 <= k <= MAX_HOMOLOGY_DIM:
+        raise ValidationError(f"{what} must be in 0..{MAX_HOMOLOGY_DIM}, got {k}")
+    return k
+
+
 def _columns(births, deaths, dims, second="deaths"):
     """Float births, deaths (or ``second``) and dims, as 1-D arrays of one length."""
     births, deaths, dims = map(as_float_array, (births, deaths, dims), ("births", second, "dims"))
@@ -140,7 +148,7 @@ class PersistenceDiagram:
 
     def restrict(self, homology_dim: int) -> "PersistenceDiagram":
         """The sub-diagram of features in a single homology dimension."""
-        keep = self.dims == as_integer(homology_dim, "homology dimension")
+        keep = self.dims == as_homology_dim(homology_dim)
         return _stored(self.births[keep], self.deaths[keep], self.dims[keep])
 
     @property
@@ -164,9 +172,9 @@ class PersistenceDiagram:
                 and np.array_equal(self.deaths[a], other.deaths[b]))
 
     def __hash__(self):
-        order = self._canonical_order()
-        return hash((self.births[order].tobytes(),
-                     self.deaths[order].tobytes(),
+        order = self._canonical_order()  # + 0.0: -0.0 == 0.0, so both hash as 0.0
+        return hash(((self.births[order] + 0.0).tobytes(),
+                     (self.deaths[order] + 0.0).tobytes(),
                      self.dims[order].tobytes()))
 
     def __repr__(self):

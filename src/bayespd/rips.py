@@ -37,7 +37,7 @@ import numpy as np
 
 from ._util import (BLOCK_CELLS, as_finite, as_float_array, as_integer, key_path,
                     read_csv_rows, write_csv)
-from .diagrams import MAX_HOMOLOGY_DIM, PersistenceDiagram
+from .diagrams import PersistenceDiagram, as_homology_dim
 from .errors import SimplexBudgetError, ValidationError
 
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
@@ -84,9 +84,7 @@ class FiltrationParams:
 
     def __post_init__(self):
         object.__setattr__(self, "max_homology_dim",
-                           as_integer(self.max_homology_dim, "max_homology_dim", ge=0))
-        if self.max_homology_dim > MAX_HOMOLOGY_DIM:
-            raise ValidationError(f"max_homology_dim must be in 0..{MAX_HOMOLOGY_DIM}")
+                           as_homology_dim(self.max_homology_dim, "max_homology_dim"))
         if self.max_radius != np.inf:  # the one radius that need not be finite
             object.__setattr__(self, "max_radius", as_finite(self.max_radius, "max_radius", gt=0))
         object.__setattr__(self, "simplex_budget",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_finite, as_generator, as_integer
-from .diagrams import PersistenceDiagram
+from .diagrams import PersistenceDiagram, as_homology_dim
 from .errors import SamplingError, ValidationError
 from .intensity import GaussianMixtureIntensity, in_wedge
 from .posterior import ObservationModel
@@ -116,6 +116,7 @@ def sample_poisson_pp(intensity: GaussianMixtureIntensity, rng_seed, *,
     probability proportional to its wedge mass and is then drawn from that
     component's wedge-truncated Gaussian.
     """
+    homology_dim = as_homology_dim(homology_dim)
     rng = as_generator(rng_seed)
     masses, total = intensity.component_masses(), intensity.total_mass()
     n = int(rng.poisson(total))  # Poisson(0) is 0 and draws nothing
@@ -142,9 +143,12 @@ def sample_observation(model: ObservationModel, latent: PersistenceDiagram,
     if not isinstance(model, ObservationModel):
         raise ValidationError(
             f"expected ObservationModel, got {type(model).__name__}")
+    dims = latent.homology_dims.tolist()
+    if len(dims) > 1:
+        raise ValidationError(f"latent diagram mixes homology dimensions {dims}; "
+                              "restrict() to a single dimension first")
     rng = as_generator(rng_seed)
-
-    homology_dim = int(latent.dims[0]) if len(latent) else 1
+    homology_dim = dims[0] if dims else 1
     kept_mask = rng.random(len(latent)) < model.alpha
     kept = latent.tilted_points[kept_mask]
     marks = _sample_marks(rng, kept, model.likelihood_variance)

@@ -142,7 +142,7 @@ def test_compute_pd(square_csv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["compute-pd", "--input", square_csv, "--output", out,
                  "--max-dim", "3"]) == 2
-    assert capsys.readouterr().err == "error: max_homology_dim must be in 0..2\n"
+    assert capsys.readouterr().err == "error: max_homology_dim must be in 0..2, got 3\n"
 
 
 # -- posterior --------------------------------------------------------------------
@@ -190,6 +190,18 @@ def test_posterior_prior_resolution(square_csv, model_json, tmp_path, capsys):
                  "--obs", str(tmp_path / "ghost.csv"), "--out", out]) == 2
 
 
+def test_posterior_refuses_a_dimension_out_of_range(square_csv, model_json, tmp_path, capsys):
+    # --dim 5 used to write an all-zero grid with total mass 0 and exit 0
+    obs = str(tmp_path / "obs.csv")
+    assert main(["compute-pd", "--input", square_csv, "--output", obs]) == 0
+    capsys.readouterr()
+    out = tmp_path / "grid.csv"
+    assert main(["posterior", "--prior", "informative", "--model", model_json,
+                 "--obs", obs, "--dim", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: homology dimension must be in 0..2, got 5\n"
+    assert not out.exists()
+
+
 # -- simulate ---------------------------------------------------------------------
 
 def test_simulate_circle_and_lattice(tmp_path, capsys):
@@ -221,6 +233,15 @@ def test_simulate_diagram(model_json, tmp_path, capsys):
                  "--latent-out", str(latent)]) == 0
     assert "observed diagram" in capsys.readouterr().out
     assert out.exists() and latent.exists()
+
+
+def test_simulate_diagram_refuses_a_dimension_out_of_range(model_json, tmp_path, capsys):
+    # --dim 5 used to be refused as "feature 0: ...", and an empty draw not at all
+    out = tmp_path / "observed.csv"
+    assert main(["simulate", "diagram", "--prior", "informative", "--model", model_json,
+                 "--dim", "5", "--seed", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: homology dimension must be in 0..2, got 5\n"
+    assert not out.exists()
 
 
 # -- classify ----------------------------------------------------------------------

@@ -169,6 +169,15 @@ def test_equality_is_order_free_multiset():
     assert hash(d) == hash(shuffled)
 
 
+def test_equal_diagrams_hash_equally_across_signed_zeros():
+    a = PersistenceDiagram([-0.0, 0.5], [1.0, 0.5], [1, 1])
+    b = PersistenceDiagram([0.0, 0.5], [1.0, 0.5], [1, 1])
+    c = PersistenceDiagram([0.0, 0.0], [-0.0, 1.0], [0, 0])
+    d = PersistenceDiagram([-0.0, 0.0], [0.0, 1.0], [0, 0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert c == d and hash(c) == hash(d) and len({c, d}) == 1
+
+
 def test_equality_counts_multiplicity():
     a = PersistenceDiagram([0, 0], [1, 1], [1, 1])
     b = PersistenceDiagram([0], [1], [1])

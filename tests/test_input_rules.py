@@ -9,8 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayespd import (FiltrationParams, PersistenceDiagram, PointCloud, ValidationError,
-                     kmeans, lattice_sites, read_diagram_csv, read_diagram_json)
+from bayespd import (FiltrationParams, GaussianMixtureIntensity, PersistenceDiagram,
+                     PointCloud, ValidationError, kmeans, lattice_sites, read_diagram_csv,
+                     read_diagram_json, sample_poisson_pp)
 
 INF, NAN = math.inf, math.nan
 
@@ -74,10 +75,19 @@ def refusals(tmp_path):
                             (NAN, "max_radius must be finite, got nan"),
                             (-INF, "max_radius must be finite, got -inf")):
         yield "FiltrationParams", lambda r=radius: FiltrationParams(max_radius=r), message
+    for dim in (3, -1):
+        yield ("FiltrationParams", lambda k=dim: FiltrationParams(max_homology_dim=k),
+               f"max_homology_dim must be in 0..2, got {dim}")
     diagram = PersistenceDiagram([0.0, 1.0], [1.0, 2.0], [0, 1])
     for dim, shown in ((1.5, "1.5"), ("1", "'1'"), (True, "True")):
         yield ("restrict", lambda k=dim: diagram.restrict(k),
                f"homology dimension must be an integer, got {shown}")
+    for dim in (5, -1, 3.0):
+        yield ("restrict", lambda k=dim: diagram.restrict(k),
+               f"homology dimension must be in 0..2, got {int(dim)}")
+    yield ("sample_poisson_pp",  # an empty draw used to pass, any other to name a feature 0
+           lambda: sample_poisson_pp(GaussianMixtureIntensity(), 1, homology_dim=7),
+           "homology dimension must be in 0..2, got 7")
     far = np.random.default_rng(0).uniform(0.0, 1e153, (400, 2))
     span = math.dist(far.max(axis=0), far.min(axis=0))
     for points, n, shown in ((far, 400, span), ([[0.0, 1.0], [NAN, 0.0], [1.0, 1.0]], 3, NAN)):

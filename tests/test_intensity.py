@@ -441,6 +441,15 @@ def test_mixture_masses_and_concat():
     np.testing.assert_allclose(a.component_masses(), expected, rtol=1e-15)
 
 
+def test_mass_of_a_mean_near_the_float_limit_is_exact_without_a_warning():
+    # z = 1e308 / sqrt(1e-6) overflows: Phi(inf) = 1, and Phi(1000) = 1 too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixture = GaussianMixtureIntensity([MixtureComponent(1.0, (1e308, 1.0), 1e-6)])
+        assert mixture.total_mass() == 1.0
+        assert mixture.component_masses().tolist() == [1.0]
+
+
 def test_mixture_superposition_evaluates_as_sum():
     rng = np.random.default_rng(53)
     a, b = random_mixture(rng, 2), random_mixture(rng, 2)

@@ -113,6 +113,15 @@ def test_observation_homology_dim_inherited():
     assert len(empty) == 0 and empty.homology_dims.tolist() == []
 
 
+def test_observation_refuses_a_latent_diagram_of_mixed_dimensions():
+    # every mark and clutter point used to be labelled with the first dimension
+    latent = PersistenceDiagram.from_tilted([1.0, 0.5], [1.0, 2.0], [0, 1])
+    with pytest.raises(ValidationError) as info:
+        sample_observation(ObservationModel(1.0, 1e-6), latent, 0)
+    assert str(info.value) == ("latent diagram mixes homology dimensions [0, 1]; "
+                               "restrict() to a single dimension first")
+
+
 def test_observation_rejects_non_model():
     with pytest.raises(ValidationError, match="ObservationModel"):
         sample_observation(WEDGE_MIXTURE, latent_diagram(4), 8)

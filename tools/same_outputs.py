@@ -80,8 +80,9 @@ REFUSAL_INPUTS = {
 }
 
 #: command lines run under ``cli/`` after ``CLI_JOBS``, each expected to be
-#: refused: two bad diagrams (exit 2), a simplex budget too small (exit 3)
-#: and infinite distances (exit 2)
+#: refused: two bad diagrams (exit 2), a simplex budget too small (exit 3),
+#: infinite distances (exit 2) and three homology dimensions outside 0..2
+#: (exit 2)
 REFUSAL_JOBS = (
     ("refuse-csv-row", ["posterior", "--prior", "informative", "--model", "{cli}/model.json",
                         "--obs", "{cli}/bad-row.csv", "--out", "{cli}/refused.csv"]),
@@ -92,6 +93,14 @@ REFUSAL_JOBS = (
                        "{cli}/refused.csv", "--budget", "100"]),
     ("refuse-inf-distance", ["compute-pd", "--input", "{cli}/huge.csv", "--output",
                              "{cli}/refused.csv"]),
+    ("refuse-max-dim", ["compute-pd", "--input", "{cli}/circle.csv", "--output",
+                        "{cli}/refused.csv", "--max-dim", "3"]),
+    ("refuse-simulate-dim", ["simulate", "diagram", "--prior", "informative", "--model",
+                             "{cli}/model.json", "--dim", "5", "--seed", "9", "--out",
+                             "{cli}/refused.csv"]),
+    ("refuse-posterior-dim", ["posterior", "--prior", "informative", "--model",
+                              "{cli}/model.json", "--obs", "{cli}/observed.csv", "--dim", "5",
+                              "--out", "{cli}/refused.csv"]),
 )
 
 
